@@ -3,8 +3,9 @@
 # fault injection (kill -9, chaostransport partitions and latency) and
 # must not lose a single job.
 #
-# Part 1 — crash + peer-served handoff: gateway + 3 workers, a batch of
-#   finished jobs replicated to ring successors, then kill -9 of a
+# Part 1 — crash + peer-served handoff: gateway + 3 workers, each with
+#   its own result cache, a batch of finished jobs replicated into ring
+#   successors' caches, then kill -9 of a
 #   job-owning worker. The gateway must serve that worker's results from
 #   the peer replica: tempriv_cluster_peer_served_total >= 1 with zero
 #   peer fallbacks, no recompute on the survivors, and bytes identical
@@ -36,9 +37,13 @@ if [ -z "${TEMPRIVGW:-}" ]; then
 fi
 
 PIDS=()
+# Each cluster worker keeps its own result cache: finished results, and
+# the replicas its ring predecessors send it, live there.
+CACHES=$(mktemp -d)
 cleanup() {
   for p in "${PIDS[@]:-}"; do kill -9 "$p" 2>/dev/null || true; done
   wait 2>/dev/null || true
+  rm -rf "$CACHES"
 }
 trap cleanup EXIT
 
@@ -80,6 +85,7 @@ PIDS+=("$!")
 declare -A WPID
 for i in 1 2 3; do
   "$TEMPRIVD" -addr "localhost:$((7370 + i))" -workers 2 -log-level warn \
+    -cache "$CACHES/p1-w$i" \
     -cluster-registry $GW1 -cluster-id "w$i" -cluster-url "http://127.0.0.1:$((7370 + i))" &
   WPID[w$i]=$!
   PIDS+=("$!")
@@ -166,6 +172,7 @@ TEMPRIV_CHAOS="partition=127.0.0.1:7473;latency=127.0.0.1:7472:200ms" \
 PIDS+=("$!")
 for i in 1 2 3; do
   "$TEMPRIVD" -addr "localhost:$((7470 + i))" -workers 2 -log-level warn \
+    -cache "$CACHES/p2-w$i" \
     -cluster-registry $GW2 -cluster-id "w$i" -cluster-url "http://127.0.0.1:$((7470 + i))" &
   PIDS+=("$!")
 done

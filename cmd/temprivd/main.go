@@ -106,8 +106,10 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 		// Cluster mode: register with a temprivgw gateway and heartbeat so
 		// the gateway shards jobs here by fingerprint and hands our jobs to
 		// a ring successor if this process dies. Workers in one cluster
-		// should share -chunks (crash handoff resumes from persisted
-		// replicate chunks) while keeping per-worker -cache and -journal.
+		// should share -chunks (a mid-job handoff resumes from persisted
+		// replicate chunks) while keeping per-worker -cache and -journal
+		// (finished results replicate into the successor's cache; a worker
+		// without -cache neither sends nor accepts replicas).
 		clusterRegistry  = fs.String("cluster-registry", "", "gateway base URL to register with (empty = standalone)")
 		clusterID        = fs.String("cluster-id", "", "stable worker ID within the cluster (required with -cluster-registry)")
 		clusterURL       = fs.String("cluster-url", "", "advertised base URL for this worker (default http://<listen addr>)")
@@ -197,9 +199,9 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 		if maxBytes > 0 {
 			maxBytes <<= 20
 		}
-		quarantined := reg.Counter("temprivd_cache_quarantined_total")
-		cacheIO := reg.Counter("temprivd_cache_io_errors_total")
-		breakerGauge := reg.Gauge("temprivd_cache_breaker_open")
+		quarantined := reg.Counter("tempriv_cache_quarantined_total")
+		cacheIO := reg.Counter("tempriv_cache_io_errors_total")
+		breakerGauge := reg.Gauge("tempriv_cache_breaker_open")
 		var err error
 		cache, err = resultcache.OpenConfig(resultcache.Config{
 			Dir:      *cacheDir,
@@ -226,7 +228,7 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 	var journal *jobstore.Journal
 	var restored []jobs.RestoredJob
 	if *journalDir != "" {
-		journalErrs := reg.Counter("temprivd_journal_append_errors_total")
+		journalErrs := reg.Counter("tempriv_journal_append_errors_total")
 		var err error
 		journal, err = jobstore.Open(*journalDir, jobstore.Options{
 			OnAppendError: func(error) { journalErrs.Inc() },
@@ -253,8 +255,8 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 			})
 		}
 		st := journal.Stats()
-		reg.Gauge("temprivd_journal_replayed_jobs").Set(float64(len(restored)))
-		reg.Gauge("temprivd_journal_corrupt_lines").Set(float64(st.CorruptLines + skipped))
+		reg.Gauge("tempriv_journal_replayed_jobs").Set(float64(len(restored)))
+		reg.Gauge("tempriv_journal_corrupt_lines").Set(float64(st.CorruptLines + skipped))
 	}
 
 	opts := jobs.Options{
@@ -284,7 +286,6 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 	// misdirected submissions (advisory — they still run here).
 	var clusterRing atomic.Pointer[ring.Ring]
 	var clusterOwns func(fp string) (string, bool)
-	var peerStore *peering.Store
 	var replicator *peering.Replicator
 	if *clusterRegistry != "" {
 		clusterOwns = func(fp string) (string, bool) {
@@ -295,37 +296,41 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 			return r.Owner(fp)
 		}
 
-		// Result peering: hold replicas peers push to us, and push every
-		// result we finish to our ring successor (write-behind, retried)
-		// so the gateway can serve our jobs from the replica — zero
-		// recompute — if this process dies. TEMPRIV_CHAOS optionally
-		// injects partitions/latency into the worker→worker replication
-		// path for fault drills.
-		peerStore = peering.NewStore(peering.StoreOptions{})
-		peerClient := &http.Client{Timeout: 10 * time.Second}
-		if spec := os.Getenv("TEMPRIV_CHAOS"); spec != "" {
-			rt, err := chaostransport.Wrap(http.DefaultTransport, spec)
-			if err != nil {
-				return fmt.Errorf("TEMPRIV_CHAOS: %w", err)
+		// Result peering: replicas peers push to us land in our result
+		// cache (the server mounts /v1/peer/results), and every result we
+		// finish is pushed to our ring successor (write-behind, retried) so
+		// the gateway can serve our jobs from its cache — zero recompute —
+		// if this process dies. TEMPRIV_CHAOS optionally injects
+		// partitions/latency into the worker→worker replication path for
+		// fault drills.
+		if cache == nil {
+			log.Warn("cluster worker without -cache: results are not replicated to or accepted from peers; crash handoffs resume from shared chunks")
+		} else {
+			peerClient := &http.Client{Timeout: 10 * time.Second}
+			if spec := os.Getenv("TEMPRIV_CHAOS"); spec != "" {
+				rt, err := chaostransport.Wrap(http.DefaultTransport, spec)
+				if err != nil {
+					return fmt.Errorf("TEMPRIV_CHAOS: %w", err)
+				}
+				peerClient.Transport = rt
+				log.Warn("chaos transport armed on peer replication", "spec", spec)
 			}
-			peerClient.Transport = rt
-			log.Warn("chaos transport armed on peer replication", "spec", spec)
-		}
-		replicator = peering.NewReplicator(peering.ReplicatorOptions{
-			SelfID:    *clusterID,
-			Client:    peerClient,
-			Log:       log,
-			Telemetry: reg,
-		})
-		opts.OnDone = func(snap jobs.Snapshot, res *jobs.Result) {
-			replicator.Offer(peering.Replica{
-				Fingerprint: snap.Fingerprint,
-				TableText:   res.TableText,
-				TableCSV:    res.TableCSV,
-				Manifest:    res.Manifest,
+			replicator = peering.NewReplicator(peering.ReplicatorOptions{
+				SelfID:    *clusterID,
+				Client:    peerClient,
+				Log:       log,
+				Telemetry: reg,
 			})
+			opts.OnDone = func(snap jobs.Snapshot, res *jobs.Result) {
+				replicator.Offer(peering.Replica{
+					Fingerprint: snap.Fingerprint,
+					TableText:   res.TableText,
+					TableCSV:    res.TableCSV,
+					Manifest:    res.Manifest,
+				})
+			}
+			go replicator.Run(ctx)
 		}
-		go replicator.Run(ctx)
 	}
 
 	runner := server.NewRunnerConfig(server.RunnerConfig{
@@ -349,7 +354,6 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 		DisableDebugEndpoints: !*debugEps,
 		ClusterID:             *clusterID,
 		ClusterOwns:           clusterOwns,
-		Peers:                 peerStore,
 	})
 	api.SetReady(server.ReadyReplaying)
 

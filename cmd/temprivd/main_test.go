@@ -173,7 +173,7 @@ func TestGracefulShutdown(t *testing.T) {
 	if status, _ := getBody(t, base+"/healthz"); status != http.StatusOK {
 		t.Fatalf("healthz status %d", status)
 	}
-	if _, metrics := getBody(t, base+"/metrics"); !strings.Contains(string(metrics), "temprivd_runs_total") {
+	if _, metrics := getBody(t, base+"/metrics"); !strings.Contains(string(metrics), "tempriv_runs_total") {
 		t.Fatalf("metrics missing counters:\n%s", metrics)
 	}
 

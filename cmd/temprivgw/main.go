@@ -3,14 +3,16 @@
 // consistent-hash ring.
 //
 //	temprivgw -addr localhost:7070 &
-//	temprivd -addr localhost:7081 -cluster-registry http://localhost:7070 -cluster-id w1 -chunks ./chunks &
-//	temprivd -addr localhost:7082 -cluster-registry http://localhost:7070 -cluster-id w2 -chunks ./chunks &
+//	temprivd -addr localhost:7081 -cluster-registry http://localhost:7070 -cluster-id w1 -chunks ./chunks -cache ./cache-w1 &
+//	temprivd -addr localhost:7082 -cluster-registry http://localhost:7070 -cluster-id w2 -chunks ./chunks -cache ./cache-w2 &
 //
 // Workers register and heartbeat against POST /v1/cluster/register; the
 // gateway expires silent workers after the lease TTL, re-dispatches their
 // unfinished jobs to the ring successor (X-Tempriv-Origin: handoff, same
 // X-Trace-Id), and the successor resumes from whatever replicate chunks
 // the dead worker persisted when the fleet shares a -chunks directory.
+// Each worker keeps its own -cache: finished results live there, and a
+// worker replicates each one into its ring successor's cache.
 //
 // Endpoints: POST/GET /v1/jobs, GET /v1/jobs/{id} (+ /result with
 // ?partial=1, /events with synthetic seq:-1 handoff lines), DELETE
@@ -25,8 +27,8 @@
 // full-result reads against a peer replica, and sheds submissions with
 // 503 + Retry-After when every candidate is ejected, backpressured, or
 // saturated past its advertised capacity. Finished results are served
-// from ring-successor replicas after a crash when available (zero
-// recompute), falling back to chunk-resume re-dispatch.
+// from the ring successor's result cache after a crash when the replica
+// landed there (zero recompute), falling back to chunk-resume re-dispatch.
 //
 // -chaos (or TEMPRIV_CHAOS) arms a deterministic fault-injecting
 // transport on the gateway's worker requests for drills:

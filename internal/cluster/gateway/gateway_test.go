@@ -16,11 +16,11 @@ import (
 	"testing"
 	"time"
 
-	"tempriv/internal/cluster/peering"
 	"tempriv/internal/cluster/registry"
 	"tempriv/internal/cluster/ring"
 	"tempriv/internal/jobs"
 	"tempriv/internal/obs"
+	"tempriv/internal/resultcache"
 	"tempriv/internal/resultstream"
 	"tempriv/internal/scenario"
 	"tempriv/internal/server"
@@ -65,11 +65,10 @@ func (c *fakeClock) Advance(d time.Duration) {
 
 // worker is one in-process temprivd API instance.
 type worker struct {
-	id    string
-	ts    *httptest.Server
-	q     *jobs.Queue
-	reg   *telemetry.Registry
-	peers *peering.Store
+	id  string
+	ts  *httptest.Server
+	q   *jobs.Queue
+	reg *telemetry.Registry
 }
 
 func (w *worker) close(t *testing.T) {
@@ -82,7 +81,9 @@ func (w *worker) close(t *testing.T) {
 
 // newWorker builds a real worker. chunksDir, when non-empty, is the
 // shared replicate-chunk directory (the crash-handoff resume substrate).
-func newWorker(t *testing.T, id, chunksDir string) *worker {
+// cacheDir, when non-empty, is the worker's own result cache, which also
+// mounts the peer replication surface.
+func newWorker(t *testing.T, id, chunksDir, cacheDir string) *worker {
 	t.Helper()
 	reg := telemetry.NewRegistry()
 	var chunks *resultstream.Store
@@ -93,16 +94,23 @@ func newWorker(t *testing.T, id, chunksDir string) *worker {
 			t.Fatal(err)
 		}
 	}
+	var cache *resultcache.Cache
+	if cacheDir != "" {
+		var err error
+		cache, err = resultcache.Open(cacheDir, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
 	runner := server.NewRunnerConfig(server.RunnerConfig{
-		Registry: reg, ReplicateWorkers: 1, Chunks: chunks,
+		Cache: cache, Registry: reg, ReplicateWorkers: 1, Chunks: chunks,
 	})
 	q := jobs.New(runner, jobs.Options{Workers: 2})
-	peers := peering.NewStore(peering.StoreOptions{})
 	api := server.NewConfig(server.Config{
-		Queue: q, Chunks: chunks, Registry: reg,
-		Tracer: obs.New(obs.Options{}), ClusterID: id, Peers: peers,
+		Queue: q, Cache: cache, Chunks: chunks, Registry: reg,
+		Tracer: obs.New(obs.Options{}), ClusterID: id,
 	})
-	w := &worker{id: id, ts: httptest.NewServer(api), q: q, reg: reg, peers: peers}
+	w := &worker{id: id, ts: httptest.NewServer(api), q: q, reg: reg}
 	t.Cleanup(func() { w.close(t) })
 	return w
 }
@@ -235,13 +243,13 @@ func TestClusterFanOut(t *testing.T) {
 	c := newCluster(t, time.Minute)
 	workers := map[string]*worker{}
 	for _, id := range []string{"w1", "w2", "w3"} {
-		w := newWorker(t, id, "")
+		w := newWorker(t, id, "", "")
 		workers[id] = w
 		c.register(t, id, w.ts.URL)
 	}
 	rg := ring.New([]string{"w1", "w2", "w3"}, 0)
 
-	standalone := newWorker(t, "solo", "")
+	standalone := newWorker(t, "solo", "", "")
 
 	ids := make([]string, 0, 4)
 	for seed := 1; seed <= 4; seed++ {
@@ -325,7 +333,7 @@ func waitWorkerDone(t *testing.T, w *worker, id string) {
 // minting its own — one trace ID names the job end to end.
 func TestClusterTracePropagation(t *testing.T) {
 	c := newCluster(t, time.Minute)
-	w := newWorker(t, "w1", "")
+	w := newWorker(t, "w1", "", "")
 	c.register(t, "w1", w.ts.URL)
 
 	const traceID = "e2e-trace-000001"
@@ -450,7 +458,7 @@ func TestClusterCrashHandoff(t *testing.T) {
 	// persisted before dying: run the same spec on a throwaway worker
 	// that shares the chunk directory (no result cache, so the chunks
 	// survive the run).
-	seeder := newWorker(t, "seeder", chunksDir)
+	seeder := newWorker(t, "seeder", chunksDir, "")
 	resp, err := http.Post(seeder.ts.URL+"/v1/jobs", "application/json", strings.NewReader(doc))
 	if err != nil {
 		t.Fatal(err)
@@ -482,7 +490,7 @@ func TestClusterCrashHandoff(t *testing.T) {
 	}))
 	defer wa.Close()
 
-	wb := newWorker(t, "wb", chunksDir)
+	wb := newWorker(t, "wb", chunksDir, "")
 
 	ttl := 10 * time.Second
 	c := newCluster(t, ttl)
@@ -572,8 +580,8 @@ func TestClusterDeadWorkerResultRevived(t *testing.T) {
 		}
 	}
 
-	wa := newWorker(t, "wa", chunksDir)
-	wb := newWorker(t, "wb", chunksDir)
+	wa := newWorker(t, "wa", chunksDir, "")
+	wb := newWorker(t, "wb", chunksDir, "")
 	ttl := 10 * time.Second
 	c := newCluster(t, ttl)
 	c.register(t, "wa", wa.ts.URL)

@@ -37,7 +37,7 @@ func seedOwnedBy(t *testing.T, owner string, members []string) (string, string) 
 }
 
 // replicateResult copies a finished result from its owner into a peer's
-// replica store the way the worker-side write-behind replicator does.
+// result cache the way the worker-side write-behind replicator does.
 func replicateResult(t *testing.T, ownerResult []byte, peer *worker) {
 	t.Helper()
 	var res struct {
@@ -82,8 +82,8 @@ func gatewayMetrics(t *testing.T, c *cluster) string {
 func TestPeerServedHandoff(t *testing.T) {
 	ttl := time.Minute
 	c := newCluster(t, ttl)
-	wa := newWorker(t, "wa", "")
-	wb := newWorker(t, "wb", "")
+	wa := newWorker(t, "wa", "", t.TempDir())
+	wb := newWorker(t, "wb", "", t.TempDir())
 	c.register(t, "wa", wa.ts.URL)
 	c.register(t, "wb", wb.ts.URL)
 
@@ -220,8 +220,8 @@ func TestEjectedWorkerRoutesHandOff(t *testing.T) {
 		cfg.EjectCooldown = 10 * time.Second
 		cfg.EjectHandoffAfter = 30 * time.Second
 	})
-	wa := newWorker(t, "wa", "")
-	wb := newWorker(t, "wb", "")
+	wa := newWorker(t, "wa", "", t.TempDir())
+	wb := newWorker(t, "wb", "", t.TempDir())
 	c.register(t, "wa", wa.ts.URL)
 	c.register(t, "wb", wb.ts.URL)
 
@@ -268,8 +268,8 @@ func TestHedgedResultWinsOnDeadOwner(t *testing.T) {
 	c := newClusterWith(t, time.Hour, func(cfg *Config) {
 		cfg.HedgeDelay = 25 * time.Millisecond
 	})
-	wa := newWorker(t, "wa", "")
-	wb := newWorker(t, "wb", "")
+	wa := newWorker(t, "wa", "", t.TempDir())
+	wb := newWorker(t, "wb", "", t.TempDir())
 	c.register(t, "wa", wa.ts.URL)
 	c.register(t, "wb", wb.ts.URL)
 
@@ -342,8 +342,8 @@ func TestEventsKeepaliveAcrossFailover(t *testing.T) {
 		cfg.EventKeepalive = 20 * time.Millisecond
 		cfg.FailoverWait = 10 * time.Second
 	})
-	wa := newWorker(t, "wa", "")
-	wb := newWorker(t, "wb", "")
+	wa := newWorker(t, "wa", "", t.TempDir())
+	wb := newWorker(t, "wb", "", t.TempDir())
 	c.register(t, "wa", wa.ts.URL)
 	c.register(t, "wb", wb.ts.URL)
 

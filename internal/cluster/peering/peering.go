@@ -1,16 +1,14 @@
 // Package peering replicates finished result bytes between cluster
 // workers so a crash handoff can serve the completed job from the ring
-// successor's replica instead of recomputing it from chunks.
+// successor's copy instead of recomputing it from chunks.
 //
-// Two halves:
+// The receiving side is not here: a worker writes each replica it is sent
+// into its own result cache (internal/resultcache) under the result's
+// fingerprint, so finished results have one store per worker. This package
+// holds what both sides share:
 //
-//   - Store: a bounded in-memory replica store each worker keeps for its
-//     ring predecessors. The server mounts it at POST/GET
-//     /v1/peer/results; the gateway's handoff (and hedged reads) fetch
-//     from it. Replicas are a durability *bonus* on top of the shared
-//     chunk directory — losing one only costs a resume-from-chunks — so
-//     memory-bounded LRU is the right shape: no disk, no fsync, evict
-//     the coldest when full.
+//   - Document: the wire form of POST /v1/peer/results, with an explicit
+//     completeness marker.
 //
 //   - Replicator: the write-behind sender. Job completion enqueues the
 //     result (never blocking the worker goroutine); a background loop
@@ -46,7 +44,7 @@ var fingerprintRE = regexp.MustCompile(`^[0-9a-f]{64}$`)
 // ring — the single-worker steady state, not a delivery failure.
 var errNoSuccessor = errors.New("peering: no eligible successor")
 
-// Replica is one finished result staged for peer serving. The byte
+// Replica is one finished result staged for replication. The byte
 // fields are exactly the worker's result-document fields; serving a
 // replica re-renders the same document, so the bytes a client sees are
 // identical whichever worker answers.
@@ -57,12 +55,8 @@ type Replica struct {
 	Manifest    []byte
 }
 
-func (r Replica) size() int64 {
-	return int64(len(r.Fingerprint) + len(r.TableText) + len(r.TableCSV) + len(r.Manifest))
-}
-
-// Valid reports whether the replica is well-formed enough to store:
-// a canonical fingerprint and a non-empty result.
+// Valid reports whether the replica is well-formed enough to send or
+// store: a canonical fingerprint and a non-empty result.
 func (r Replica) Valid() error {
 	if !fingerprintRE.MatchString(r.Fingerprint) {
 		return fmt.Errorf("peering: malformed fingerprint %q", r.Fingerprint)
@@ -82,116 +76,6 @@ type Document struct {
 	TableCSV    string          `json:"table_csv"`
 	Manifest    json.RawMessage `json:"manifest"`
 	Complete    bool            `json:"complete"`
-}
-
-// StoreOptions bound a Store. Zero values take defaults.
-type StoreOptions struct {
-	// MaxReplicas bounds the entry count (default 512).
-	MaxReplicas int
-	// MaxBytes bounds total replica bytes (default 128 MiB).
-	MaxBytes int64
-}
-
-// Store is the bounded in-memory LRU replica store.
-type Store struct {
-	mu      sync.Mutex
-	max     int
-	maxB    int64
-	bytes   int64
-	entries map[string]Replica
-	order   []string // LRU order, oldest first (touched on Get and Put)
-	evicted uint64
-}
-
-// NewStore builds an empty Store.
-func NewStore(opts StoreOptions) *Store {
-	if opts.MaxReplicas <= 0 {
-		opts.MaxReplicas = 512
-	}
-	if opts.MaxBytes <= 0 {
-		opts.MaxBytes = 128 << 20
-	}
-	return &Store{
-		max:     opts.MaxReplicas,
-		maxB:    opts.MaxBytes,
-		entries: make(map[string]Replica),
-	}
-}
-
-// touch moves fp to the back of the LRU order (most recently used).
-// Caller holds s.mu.
-func (s *Store) touch(fp string) {
-	for i, id := range s.order {
-		if id == fp {
-			s.order = append(s.order[:i], s.order[i+1:]...)
-			break
-		}
-	}
-	s.order = append(s.order, fp)
-}
-
-// Put stores (or refreshes) a replica, evicting the least recently used
-// entries to stay within bounds. An oversized replica (alone exceeding
-// MaxBytes) is rejected rather than flushing the whole store.
-func (s *Store) Put(r Replica) error {
-	if err := r.Valid(); err != nil {
-		return err
-	}
-	if r.size() > s.maxB {
-		return fmt.Errorf("peering: replica %s is %d bytes, store bound is %d", r.Fingerprint[:12], r.size(), s.maxB)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if old, ok := s.entries[r.Fingerprint]; ok {
-		s.bytes -= old.size()
-	}
-	s.entries[r.Fingerprint] = r
-	s.bytes += r.size()
-	s.touch(r.Fingerprint)
-	for (len(s.entries) > s.max || s.bytes > s.maxB) && len(s.order) > 1 {
-		victim := s.order[0]
-		if victim == r.Fingerprint {
-			break
-		}
-		s.order = s.order[1:]
-		s.bytes -= s.entries[victim].size()
-		delete(s.entries, victim)
-		s.evicted++
-	}
-	return nil
-}
-
-// Get returns the replica for fp, refreshing its LRU position.
-func (s *Store) Get(fp string) (Replica, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	r, ok := s.entries[fp]
-	if ok {
-		s.touch(fp)
-	}
-	return r, ok
-}
-
-// Len reports how many replicas are held.
-func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.entries)
-}
-
-// Bytes reports total replica bytes held.
-func (s *Store) Bytes() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.bytes
-}
-
-// Evicted reports how many replicas were LRU-evicted over the store's
-// lifetime.
-func (s *Store) Evicted() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.evicted
 }
 
 // membership is an immutable snapshot of the cluster the replicator

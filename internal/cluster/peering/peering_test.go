@@ -26,87 +26,6 @@ func replica(b byte, size int) Replica {
 	}
 }
 
-func TestStorePutGet(t *testing.T) {
-	s := NewStore(StoreOptions{})
-	r := replica(1, 10)
-	if err := s.Put(r); err != nil {
-		t.Fatal(err)
-	}
-	got, ok := s.Get(fp(1))
-	if !ok || string(got.TableText) != string(r.TableText) {
-		t.Fatalf("Get = %+v, %v", got, ok)
-	}
-	if _, ok := s.Get(fp(9)); ok {
-		t.Fatal("missing fingerprint answered")
-	}
-	if s.Len() != 1 || s.Bytes() != r.size() {
-		t.Fatalf("Len=%d Bytes=%d, want 1, %d", s.Len(), s.Bytes(), r.size())
-	}
-}
-
-func TestStoreRejectsMalformed(t *testing.T) {
-	s := NewStore(StoreOptions{})
-	if err := s.Put(Replica{Fingerprint: "nope", TableText: []byte("x")}); err == nil {
-		t.Fatal("malformed fingerprint accepted")
-	}
-	if err := s.Put(Replica{Fingerprint: fp(1)}); err == nil {
-		t.Fatal("empty replica accepted")
-	}
-}
-
-func TestStoreEvictsLRUOnCount(t *testing.T) {
-	s := NewStore(StoreOptions{MaxReplicas: 2})
-	for b := byte(1); b <= 3; b++ {
-		if err := s.Put(replica(b, 4)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, ok := s.Get(fp(1)); ok {
-		t.Fatal("oldest replica should have been evicted")
-	}
-	for b := byte(2); b <= 3; b++ {
-		if _, ok := s.Get(fp(b)); !ok {
-			t.Fatalf("replica %d evicted, want retained", b)
-		}
-	}
-	if s.Evicted() != 1 {
-		t.Fatalf("Evicted = %d, want 1", s.Evicted())
-	}
-}
-
-func TestStoreEvictsLRUOnBytesAndGetRefreshes(t *testing.T) {
-	one := replica(1, 100)
-	s := NewStore(StoreOptions{MaxReplicas: 100, MaxBytes: 3 * one.size()})
-	for b := byte(1); b <= 3; b++ {
-		if err := s.Put(replica(b, 100)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s.Get(fp(1)) // refresh 1 so 2 becomes the LRU victim
-	if err := s.Put(replica(4, 100)); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := s.Get(fp(2)); ok {
-		t.Fatal("LRU replica 2 should have been evicted")
-	}
-	if _, ok := s.Get(fp(1)); !ok {
-		t.Fatal("refreshed replica 1 should survive")
-	}
-	if s.Bytes() > 3*one.size() {
-		t.Fatalf("Bytes = %d exceeds bound %d", s.Bytes(), 3*one.size())
-	}
-}
-
-func TestStoreRejectsOversizedReplica(t *testing.T) {
-	s := NewStore(StoreOptions{MaxBytes: 64})
-	if err := s.Put(replica(1, 1000)); err == nil {
-		t.Fatal("oversized replica accepted")
-	}
-	if s.Len() != 0 {
-		t.Fatal("oversized replica stored")
-	}
-}
-
 // peerServer is a fake worker peer endpoint recording received documents.
 type peerServer struct {
 	mu   sync.Mutex

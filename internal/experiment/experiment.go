@@ -52,7 +52,7 @@ type Params struct {
 	// rebuilding them per run. Execution-only — engine reuse never affects
 	// result bytes — and safe to share across parallel sweep workers (the
 	// cache checks engines out). Replication installs per-worker caches
-	// automatically; see ReplicateRun.
+	// automatically; see Replicate.
 	Engines *network.EngineCache
 }
 

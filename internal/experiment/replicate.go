@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 
 	"tempriv/internal/metrics"
@@ -31,32 +30,11 @@ type ReplicateSink interface {
 	Emit(rep int, fresh bool, tab *report.Table) error
 }
 
-// Replicate runs an experiment n times under seeds p.Seed … p.Seed+n−1 and
-// aggregates the runs into one table: every value column C of the
-// underlying experiment becomes two columns, C (the across-seed mean) and
-// "C ±" (the half-width of a normal-approximation 95 % confidence interval,
-// 1.96·s/√n). The paper reports single runs; replication quantifies how
-// much of each curve is signal.
-func Replicate(e Experiment, p Params, n int) (*report.Table, error) {
-	return ReplicateParallel(e, p, n, 1)
-}
-
-// ReplicateParallel is Replicate with the n replications spread over up to
-// workers goroutines. Each replication's seed is derived from its index
-// (p.Seed+rep), not from scheduling, and the per-replication tables are
-// reduced in replication order via Welford.Merge — the same reduction the
-// serial path uses — so the output is byte-identical for every worker
-// count.
-func ReplicateParallel(e Experiment, p Params, n, workers int) (*report.Table, error) {
-	return ReplicateStream(e, p, n, workers, nil)
-}
-
-// ReplicateConfig tunes how ReplicateRun executes. Every field is
+// ReplicateConfig tunes how Replicate executes. Every field is
 // execution-only: the output table is byte-identical for any setting.
 type ReplicateConfig struct {
-	// Workers bounds replication parallelism. Zero or negative means one
-	// worker per available CPU (runtime.GOMAXPROCS(0)); 1 forces the serial
-	// path.
+	// Workers bounds replication parallelism; values below 1 run the
+	// replicates serially.
 	Workers int
 	// Sink, when set, streams per-replicate tables and answers resume
 	// queries; see ReplicateSink.
@@ -68,36 +46,24 @@ type ReplicateConfig struct {
 	FreshEngines bool
 }
 
-// ReplicateRun is the full-control replication entry point: n replicates of
-// e under seeds p.Seed … p.Seed+n−1, partitioned over rc.Workers goroutines
-// (defaulting to one per CPU), each worker reusing its own pool of
-// arena-backed simulation engines across the replicates it draws, with the
-// per-replicate tables merged into the Welford reduction — and streamed to
-// rc.Sink — in strict replicate order. The deterministic seq-ordered merge
-// makes the output byte-identical to the serial, fresh-engine path.
-func ReplicateRun(e Experiment, p Params, n int, rc ReplicateConfig) (*report.Table, error) {
-	workers := rc.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return replicateStream(e, p, n, workers, rc.Sink, rc.FreshEngines)
-}
-
-// ReplicateStream is the streaming execution path every replicated run now
-// flows through: replicate tables are folded into the running Welford
-// reduction (and handed to sink) in replicate-index order as they
-// complete, instead of accumulating the whole run in memory first. With a
-// nil sink it is exactly ReplicateParallel; with a sink it additionally
-// supports resume — replicates the sink already holds (Have) are not
-// recomputed, and the reduction stays byte-identical because the same
-// tables enter it in the same order either way.
-func ReplicateStream(e Experiment, p Params, n, workers int, sink ReplicateSink) (*report.Table, error) {
-	return replicateStream(e, p, n, workers, sink, false)
-}
-
-// replicateStream is the one replication engine behind Replicate,
-// ReplicateParallel, ReplicateStream and ReplicateRun.
-func replicateStream(e Experiment, p Params, n, workers int, sink ReplicateSink, freshEngines bool) (*report.Table, error) {
+// Replicate runs an experiment n times under seeds p.Seed … p.Seed+n−1 and
+// aggregates the runs into one table: every value column C of the
+// underlying experiment becomes two columns, C (the across-seed mean) and
+// "C ±" (the half-width of a normal-approximation 95 % confidence interval,
+// 1.96·s/√n). The paper reports single runs; replication quantifies how
+// much of each curve is signal.
+//
+// The replicates are partitioned over rc.Workers goroutines, each reusing
+// its own pool of arena-backed simulation engines across the replicates it
+// draws. Each replicate's seed derives from its index, not from
+// scheduling, and its table is folded into the running Welford reduction —
+// and streamed to rc.Sink — in strict replicate order as it completes, so
+// the output is byte-identical for every worker count and engine setting.
+// With a sink, replicates the sink already holds (Have) are not recomputed,
+// and the reduction stays byte-identical because the same tables enter it
+// in the same order either way.
+func Replicate(e Experiment, p Params, n int, rc ReplicateConfig) (*report.Table, error) {
+	workers, sink := rc.Workers, rc.Sink
 	if e.Run == nil {
 		return nil, errors.New("experiment: replicate of experiment without Run")
 	}
@@ -147,7 +113,7 @@ func replicateStream(e Experiment, p Params, n, workers int, sink ReplicateSink,
 			// instead of rebuilding it per seed. Reuse is byte-invisible
 			// (the engine rearm contract), so this changes wall-clock only.
 			cache := p.Engines
-			if freshEngines {
+			if rc.FreshEngines {
 				cache = nil
 			} else if cache == nil {
 				cache = network.NewEngineCache()

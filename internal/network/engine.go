@@ -1,12 +1,12 @@
 package network
 
 // Engine: the reusable form of the simulation runner. A fresh run builds
-// routes, per-node policies and pools once (NewEngine); every Run then
-// rearms that structure in place — scheduler drained, arena rewound, node
-// substreams reseeded, policies emptied — and executes against the full
-// config passed to Run. Structure is reused; behaviour always comes from
-// the caller's config, which is what makes a reused engine byte-identical
-// to a fresh one.
+// routes, built-in per-node policies and pools once (NewEngine); every Run
+// then rearms that structure in place — scheduler drained, arena rewound,
+// node substreams reseeded, policies emptied, custom policies rebuilt — and
+// executes against the full config passed to Run. Structure is reused;
+// behaviour always comes from the caller's config, which is what makes a
+// reused engine byte-identical to a fresh one.
 
 import (
 	"errors"
@@ -94,8 +94,9 @@ func (e *Engine) runResolved(cfg Config) (*Result, error) {
 
 // rearm resets every piece of run-scoped state and adopts cfg as the run's
 // configuration. On a fresh engine it is an exact no-op relative to
-// construction (substreams are reseeded to the values they already hold),
-// so the first run and all later runs travel the identical path.
+// construction (substreams are reseeded to the values they already hold)
+// apart from building custom policies, which rearm does on every run, so
+// the first run and all later runs travel the identical path.
 func (r *runner) rearm(cfg Config) error {
 	// Structural compatibility — checked against the construction config
 	// while r.cfg still holds it. These are the fields baked into built
@@ -121,13 +122,6 @@ func (r *runner) rearm(cfg Config) error {
 			return errors.New("network: engine reuse: topology differs from construction topology")
 		}
 	}
-	// Custom policy instances are factory-built and may close over caller
-	// state, so reuse or a seed change forces a rebuild. The first run of a
-	// fresh engine with an unchanged seed keeps the instances construction
-	// made — preserving the exactly-one-factory-call behaviour of a plain
-	// Run.
-	rebuildCustom := cfg.Policy == PolicyCustom && (r.ran || cfg.Seed != r.cfg.Seed)
-
 	r.cfg = cfg
 	r.sched.Reset()
 	r.arena.reset()
@@ -178,19 +172,25 @@ func (r *runner) rearm(cfg Config) error {
 			// Reseeds the buffer's shared victim stream and re-derives the
 			// controller's planned-delay cap from the adopted distribution.
 			n.rcad.Reset(n.dist, n.src.Split("victim"))
-		case cfg.Policy == PolicyCustom:
-			if rebuildCustom {
-				if err := r.attachPolicy(n); err != nil {
-					return err
-				}
-			}
-		case n.policy != nil:
+		case n.policy != nil && cfg.Policy != PolicyCustom:
 			if res, ok := n.policy.(interface{ Reset() }); ok {
 				res.Reset()
 			}
 		}
 	}
-	r.ran = true
+	// Custom policies are factory-built on every run: an instance may close
+	// over caller state or arm timers on the scheduler Reset just cleared,
+	// so no instance outlives its run. Building in sorted node order keeps
+	// the timers' scheduling sequence deterministic.
+	if cfg.Policy == PolicyCustom {
+		for _, id := range cfg.Topology.Nodes() {
+			if n, ok := r.nodes[id]; ok {
+				if err := r.attachPolicy(n); err != nil {
+					return err
+				}
+			}
+		}
+	}
 	return nil
 }
 

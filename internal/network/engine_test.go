@@ -5,9 +5,12 @@ import (
 	"fmt"
 	"testing"
 
+	"tempriv/internal/buffer"
 	"tempriv/internal/delay"
+	"tempriv/internal/mix"
 	"tempriv/internal/packet"
 	"tempriv/internal/rng"
+	"tempriv/internal/sim"
 	"tempriv/internal/telemetry"
 	"tempriv/internal/topology"
 	"tempriv/internal/traffic"
@@ -57,14 +60,38 @@ func mustDist(d delay.Distribution, err error) delay.Distribution {
 
 // randomEngineSpecs draws a set of structurally varied configs: topology,
 // policy, channel/ARQ, failures, sealing, rate control and traffic process
-// all vary, covering every subsystem rearm has to reset.
-func randomEngineSpecs(t *testing.T, src *rng.Source, n int) []engineSpec {
+// all vary, covering every subsystem rearm has to reset. With mixes set,
+// every spec installs a factory-built batching mix (mix.ThresholdMix or
+// mix.TimedMix) through PolicyCustom instead of a built-in policy.
+func randomEngineSpecs(t *testing.T, src *rng.Source, n int, mixes bool) []engineSpec {
 	t.Helper()
 	specs := make([]engineSpec, 0, n)
+	prefix := "spec"
+	if mixes {
+		prefix = "mix"
+	}
 	for i := 0; i < n; i++ {
 		i := i
 		topoKind := src.Intn(3)
-		policy := []PolicyKind{PolicyForward, PolicyUnlimited, PolicyDropTail, PolicyRCAD}[src.Intn(4)]
+		var policy PolicyKind
+		var mixName string
+		var factory func(*sim.Scheduler, buffer.Forward, *rng.Source) (buffer.Policy, error)
+		if mixes {
+			policy = PolicyCustom
+			if src.Bernoulli(0.5) {
+				mixName = "-threshold-mix"
+				factory = func(s *sim.Scheduler, f buffer.Forward, r *rng.Source) (buffer.Policy, error) {
+					return mix.NewThresholdMix(s, f, 3, 1, r)
+				}
+			} else {
+				mixName = "-timed-mix"
+				factory = func(s *sim.Scheduler, f buffer.Forward, r *rng.Source) (buffer.Policy, error) {
+					return mix.NewTimedMix(s, f, 6, r)
+				}
+			}
+		} else {
+			policy = []PolicyKind{PolicyForward, PolicyUnlimited, PolicyDropTail, PolicyRCAD}[src.Intn(4)]
+		}
 		procKind := src.Intn(3)
 		withChannel := src.Bernoulli(0.4)
 		withARQ := withChannel && src.Bernoulli(0.6)
@@ -113,11 +140,12 @@ func randomEngineSpecs(t *testing.T, src *rng.Source, n int) []engineSpec {
 				proc = mustProc(traffic.NewOnOff(1/interval, 5*interval, 3*interval))
 			}
 			cfg := Config{
-				Topology: topo,
-				Policy:   policy,
-				Capacity: capacity,
-				Seed:     seed,
-				Seal:     withSeal,
+				Topology:     topo,
+				Policy:       policy,
+				CustomPolicy: factory,
+				Capacity:     capacity,
+				Seed:         seed,
+				Seal:         withSeal,
 			}
 			for _, s := range sources {
 				cfg.Sources = append(cfg.Sources, Source{Node: s, Process: proc, Count: packets})
@@ -147,8 +175,8 @@ func randomEngineSpecs(t *testing.T, src *rng.Source, n int) []engineSpec {
 			return cfg
 		}
 		specs = append(specs, engineSpec{
-			name: fmt.Sprintf("spec%02d/topo%d-policy%v-proc%d-ch%v-arq%v-fail%v-seal%v",
-				i, topoKind, policy, procKind, withChannel, withARQ, withFailure, withSeal),
+			name: fmt.Sprintf("%s%02d/topo%d-policy%v%s-proc%d-ch%v-arq%v-fail%v-seal%v",
+				prefix, i, topoKind, policy, mixName, procKind, withChannel, withARQ, withFailure, withSeal),
 			build: build,
 		})
 	}
@@ -159,12 +187,14 @@ func randomEngineSpecs(t *testing.T, src *rng.Source, n int) []engineSpec {
 // each randomly drawn simulation shape, running seeds s, s+1, s+2 through one
 // reused engine must produce byte-identical results to running each seed on
 // its own fresh engine. Any run-scoped state surviving rearm — a stale
-// route, a warm RNG, a dirty buffer, arena or dedup entry — shows up as a
-// signature mismatch.
+// route, a warm RNG, a dirty buffer, arena or dedup entry, a timer a
+// factory-built policy armed on the scheduler — shows up as a signature
+// mismatch.
 func TestEngineReuseMatchesFreshRuns(t *testing.T) {
 	src := rng.New(20260808)
 	const seeds = 3
-	for _, spec := range randomEngineSpecs(t, src, 12) {
+	specs := randomEngineSpecs(t, src, 12, false)
+	for _, spec := range append(specs, randomEngineSpecs(t, src, 6, true)...) {
 		t.Run(spec.name, func(t *testing.T) {
 			fresh := make([]string, seeds)
 			for s := 0; s < seeds; s++ {
@@ -205,7 +235,7 @@ func TestEngineReuseMatchesFreshRuns(t *testing.T) {
 // retain an engine between calls.
 func TestRunCachedMatchesRun(t *testing.T) {
 	cache := NewEngineCache()
-	spec := randomEngineSpecs(t, rng.New(7), 1)[0]
+	spec := randomEngineSpecs(t, rng.New(7), 1, false)[0]
 	for s := 0; s < 4; s++ {
 		cfg := spec.build(uint64(50 + s))
 		want, err := Run(cfg)

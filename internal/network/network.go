@@ -137,8 +137,8 @@ type Config struct {
 	// buffer.ShortestRemaining, the paper's rule.
 	Victim buffer.VictimSelector
 	// CustomPolicy builds each node's buffering policy when Policy is
-	// PolicyCustom. It is called once per buffering node with that node's
-	// forward function and private random substream. When Delay is nil,
+	// PolicyCustom. It is called once per buffering node per run with that
+	// node's forward function and private random substream. When Delay is nil,
 	// custom policies receive zero sampled delays (appropriate for
 	// batching mixes, which ignore them).
 	CustomPolicy func(sched *sim.Scheduler, forward buffer.Forward, src *rng.Source) (buffer.Policy, error)

@@ -62,9 +62,6 @@ type runner struct {
 	// identity rearm checks when a later run passes a different Topology
 	// value.
 	edges0 [][2]int
-	// ran records that at least one run completed, so rearm knows when
-	// custom-policy factories must be re-invoked.
-	ran bool
 }
 
 // Run validates cfg, executes the simulation to completion, and returns the
@@ -236,8 +233,10 @@ func newRunner(cfg Config) (*runner, error) {
 		if cfg.Channel != nil {
 			n.link = newLinkChannel(*cfg.Channel, n.src.Split("link"))
 		}
-		if err := r.attachPolicy(n); err != nil {
-			return nil, err
+		if cfg.Policy != PolicyCustom { // rearm builds custom policies per run
+			if err := r.attachPolicy(n); err != nil {
+				return nil, err
+			}
 		}
 		r.nodes[id] = n
 	}

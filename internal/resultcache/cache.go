@@ -146,7 +146,13 @@ type Cache struct {
 	hooks    Hooks
 	brk      *breaker
 
-	mu          sync.Mutex
+	mu sync.Mutex
+	// bytes is the payload this cache counts on disk: scanned at open and
+	// by every eviction pass, grown by each Put this process publishes.
+	// Only a Put that takes it past maxBytes walks the entries, so a Put
+	// costs the same however many entries the cache holds. Quarantines and
+	// other processes' writes make it drift until the next scan.
+	bytes       int64
 	hits        uint64
 	misses      uint64
 	evictions   uint64
@@ -201,6 +207,11 @@ func OpenConfig(cfg Config) (*Cache, error) {
 			}
 		})
 	}
+	_, total, err := c.scan()
+	if err != nil {
+		return nil, err
+	}
+	c.bytes = total
 	return c, nil
 }
 
@@ -328,6 +339,9 @@ func (c *Cache) Put(e *Entry) error {
 		return fmt.Errorf("resultcache: publishing %s: %w", e.Fingerprint, err)
 	}
 	c.opOK()
+	c.mu.Lock()
+	c.bytes += int64(len(e.TableText) + len(e.TableCSV) + len(e.Manifest))
+	c.mu.Unlock()
 	return c.evict()
 }
 
@@ -450,7 +464,10 @@ func (c *Cache) scan() ([]scanned, int64, error) {
 // result cannot wedge the cache into rewriting itself forever. Eviction
 // errors feed the breaker but never fail the Put that triggered them.
 func (c *Cache) evict() error {
-	if c.maxBytes < 0 {
+	c.mu.Lock()
+	within := c.maxBytes < 0 || c.bytes <= c.maxBytes
+	c.mu.Unlock()
+	if within {
 		return nil
 	}
 	entries, total, err := c.scan()
@@ -458,6 +475,11 @@ func (c *Cache) evict() error {
 		c.ioError(err)
 		return nil
 	}
+	defer func() {
+		c.mu.Lock()
+		c.bytes = total
+		c.mu.Unlock()
+	}()
 	if total <= c.maxBytes || len(entries) <= 1 {
 		return nil
 	}

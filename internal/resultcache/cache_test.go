@@ -207,6 +207,32 @@ func TestReopenSeesExistingEntries(t *testing.T) {
 	}
 }
 
+// TestReopenedCacheCountsExistingEntries: the size bound covers entries a
+// previous process life left behind, not only this process's own Puts.
+func TestReopenedCacheCountsExistingEntries(t *testing.T) {
+	dir := t.TempDir()
+	c, err := Open(dir, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		if err := c.Put(testEntry(i, 4<<10)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bounded, err := Open(dir, 9<<10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := bounded.Put(testEntry(9, 10)); err != nil {
+		t.Fatal(err)
+	}
+	st := bounded.Stats()
+	if st.Evictions == 0 || st.Bytes > 9<<10 {
+		t.Fatalf("reopened cache ignored the population it inherited: %+v", st)
+	}
+}
+
 func TestConcurrentSameFingerprint(t *testing.T) {
 	c, err := Open(t.TempDir(), 0)
 	if err != nil {

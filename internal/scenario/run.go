@@ -180,12 +180,8 @@ func Run(ctx context.Context, spec Spec, opts Options) (*Outcome, error) {
 
 	var tab *report.Table
 	if replicates > 1 {
-		workers := opts.ReplicateWorkers
-		if workers < 1 {
-			workers = 1
-		}
-		tab, err = experiment.ReplicateRun(e, p, replicates, experiment.ReplicateConfig{
-			Workers:      workers,
+		tab, err = experiment.Replicate(e, p, replicates, experiment.ReplicateConfig{
+			Workers:      opts.ReplicateWorkers,
 			Sink:         opts.Sink,
 			FreshEngines: opts.DisableEngineReuse,
 		})

@@ -10,6 +10,8 @@
 //	GET  /v1/jobs/{id}/events progress stream, one JSON object per line
 //	GET  /v1/traces/{jobID}   the job's end-to-end trace as a JSON span tree
 //	GET  /v1/cache            result-cache effectiveness counters
+//	POST /v1/peer/results     accept a ring predecessor's finished result (cluster workers with a cache)
+//	GET  /v1/peer/results/{fp} serve a finished result from the cache by fingerprint
 //	GET  /healthz             liveness probe (always 200 while the process serves)
 //	GET  /readyz              readiness probe (503 during journal replay and drain)
 //	GET  /metrics             Prometheus text format (telemetry registry)
@@ -109,14 +111,13 @@ type Config struct {
 	// that front temprivd to untrusted networks turn them off
 	// (temprivd -debug-endpoints=false).
 	DisableDebugEndpoints bool
-	// Peers, when non-nil, mounts the node-to-node result replication
-	// surface (POST /v1/peer/results to accept a ring predecessor's
-	// finished result, GET /v1/peer/results/{fingerprint} to serve a
-	// replica back — byte-identical to the job's own /result document).
-	// The GET side also falls back to this worker's result cache, so a
-	// peer (or the gateway's hedged read) can fetch any finished result
-	// this node knows about, replicated or computed.
-	Peers *peering.Store
+	// ClusterID marks a cluster-member worker. Together with Cache it
+	// mounts the node-to-node result replication surface: POST
+	// /v1/peer/results writes a ring predecessor's finished result into
+	// Cache under its fingerprint, and GET /v1/peer/results/{fingerprint}
+	// serves any finished result Cache holds, replicated or computed here,
+	// byte-identical to the job's own /result document.
+	//
 	// ClusterID and ClusterOwns give a cluster-member worker its
 	// ownership check: when both are set, every submission's fingerprint
 	// is looked up on the worker's locally derived consistent-hash ring
@@ -134,24 +135,18 @@ type Config struct {
 
 // Server routes the HTTP API onto a job queue and an optional result cache.
 type Server struct {
-	queue   *jobs.Queue
-	cache   *resultcache.Cache
-	chunks  *resultstream.Store
-	reg     *telemetry.Registry
-	tracer  *obs.Tracer
-	slos    obs.SLOSet
-	reqSLO  *obs.SLO
-	log     *slog.Logger
-	mux     *http.ServeMux
-	// sheds counts load-shedding rejections under the unified tempriv_
-	// prefix; shedsDeprecated keeps the pre-rename temprivd_sheds_total
-	// series alive for one release so dashboards migrate without a gap.
-	sheds           *telemetry.Counter
-	shedsDeprecated *telemetry.Counter
+	queue  *jobs.Queue
+	cache  *resultcache.Cache
+	chunks *resultstream.Store
+	reg    *telemetry.Registry
+	tracer *obs.Tracer
+	slos   obs.SLOSet
+	reqSLO *obs.SLO
+	log    *slog.Logger
+	mux    *http.ServeMux
+	sheds  *telemetry.Counter
 
-	peers        *peering.Store
 	peerReceived *telemetry.Counter
-	peerHeld     *telemetry.Gauge
 
 	clusterID   string
 	clusterOwns func(fingerprint string) (owner string, known bool)
@@ -167,13 +162,6 @@ type Server struct {
 
 	mu        sync.Mutex
 	readiness string
-}
-
-// New assembles the API from the positional essentials — the pre-tracing
-// constructor, kept for callers that need none of the observability
-// wiring. Equivalent to NewConfig with only those fields set.
-func New(queue *jobs.Queue, cache *resultcache.Cache, chunks *resultstream.Store, reg *telemetry.Registry) *Server {
-	return NewConfig(Config{Queue: queue, Cache: cache, Chunks: chunks, Registry: reg})
 }
 
 // NewConfig assembles the API. The server starts in the ReadyStarting
@@ -194,16 +182,14 @@ func NewConfig(cfg Config) *Server {
 	}
 	s.clusterID = cfg.ClusterID
 	s.clusterOwns = cfg.ClusterOwns
-	s.peers = cfg.Peers
+	peerRoutes := s.clusterID != "" && s.cache != nil
 	if s.reg != nil {
 		s.sheds = s.reg.Counter("tempriv_sheds_total")
-		s.shedsDeprecated = s.reg.Counter("temprivd_sheds_total")
 		if s.clusterOwns != nil {
 			s.misdirected = s.reg.Counter("tempriv_cluster_misdirected_total")
 		}
-		if s.peers != nil {
+		if peerRoutes {
 			s.peerReceived = s.reg.Counter("tempriv_cluster_peer_received_total")
-			s.peerHeld = s.reg.Gauge("tempriv_cluster_peer_replicas_held")
 		}
 	}
 	s.mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
@@ -214,7 +200,7 @@ func NewConfig(cfg Config) *Server {
 	s.mux.HandleFunc("GET /v1/jobs/{id}/events", s.handleEvents)
 	s.mux.HandleFunc("GET /v1/traces/{jobID}", s.handleTrace)
 	s.mux.HandleFunc("GET /v1/cache", s.handleCacheStats)
-	if s.peers != nil {
+	if peerRoutes {
 		s.mux.HandleFunc("POST /v1/peer/results", s.handlePeerPut)
 		s.mux.HandleFunc("GET /v1/peer/results/{fingerprint}", s.handlePeerGet)
 	}
@@ -289,32 +275,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// NewRunner builds the queue Runner that gives the server (and anything
-// else sharing the queue) its cache-first execution path: consult the
-// result cache by spec fingerprint, re-simulate only on a miss, and store
-// the fresh artifacts for the next identical submission.
-//
-// When chunks is non-nil, every fresh run additionally streams each
-// replicate's table into the chunk store (internal/resultstream) as it
-// completes: a SIGKILL mid-run loses only the replicate in flight, and the
-// re-run (same fingerprint) resumes from the surviving chunks instead of
-// recomputing them — with the final artifacts byte-identical either way,
-// because the chunks feed the same reduction in the same order. Finished
-// chunks are removed once the result is safely in the cache.
-//
-// Storage sickness never fails a job here: the cache converts corrupt
-// entries and I/O errors into misses (quarantining / breaker-bypassing
-// internally), a failed Put costs only the cache fill, and a sick chunk
-// store degrades to a plain non-resumable run.
-func NewRunner(cache *resultcache.Cache, reg *telemetry.Registry, replicateWorkers int, chunks *resultstream.Store) jobs.Runner {
-	return NewRunnerConfig(RunnerConfig{
-		Cache:            cache,
-		Registry:         reg,
-		ReplicateWorkers: replicateWorkers,
-		Chunks:           chunks,
-	})
-}
-
 // RunnerConfig parameterises NewRunnerConfig. Cache, Registry, Chunks and
 // CachedResultSLO are all optional; their zero values disable the
 // corresponding feature.
@@ -329,7 +289,23 @@ type RunnerConfig struct {
 	CachedResultSLO *obs.SLO
 }
 
-// NewRunnerConfig is NewRunner with the full option set.
+// NewRunnerConfig builds the queue Runner that gives the server (and
+// anything else sharing the queue) its cache-first execution path: consult
+// the result cache by spec fingerprint, re-simulate only on a miss, and
+// store the fresh artifacts for the next identical submission.
+//
+// When Chunks is non-nil, every fresh run additionally streams each
+// replicate's table into the chunk store (internal/resultstream) as it
+// completes: a SIGKILL mid-run loses only the replicate in flight, and the
+// re-run (same fingerprint) resumes from the surviving chunks instead of
+// recomputing them — with the final artifacts byte-identical either way,
+// because the chunks feed the same reduction in the same order. Finished
+// chunks are removed once the result is safely in the cache.
+//
+// Storage sickness never fails a job here: the cache converts corrupt
+// entries and I/O errors into misses (quarantining / breaker-bypassing
+// internally), a failed Put costs only the cache fill, and a sick chunk
+// store degrades to a plain non-resumable run.
 func NewRunnerConfig(cfg RunnerConfig) jobs.Runner {
 	cache, reg, chunks := cfg.Cache, cfg.Registry, cfg.Chunks
 	replicateWorkers := cfg.ReplicateWorkers
@@ -344,9 +320,9 @@ func NewRunnerConfig(cfg RunnerConfig) jobs.Runner {
 			c.Inc()
 		}
 	}
-	hits := counter("temprivd_cache_hits_total")
-	misses := counter("temprivd_cache_misses_total")
-	runs := counter("temprivd_runs_total")
+	hits := counter("tempriv_cache_hits_total")
+	misses := counter("tempriv_cache_misses_total")
+	runs := counter("tempriv_runs_total")
 	chunksWritten := counter("tempriv_chunks_written_total")
 	chunksQuarantined := counter("tempriv_chunks_quarantined_total")
 	replicatesSkipped := counter("tempriv_replicates_skipped_on_resume_total")
@@ -581,14 +557,9 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 
 // shed rejects a submission with backpressure semantics: counted in
 // telemetry, answered with Retry-After (writeError adds it for 429/503).
-// Both the unified tempriv_sheds_total and the deprecated
-// temprivd_sheds_total alias move together until the alias retires.
 func (s *Server) shed(w http.ResponseWriter, status int, err error) {
 	if s.sheds != nil {
 		s.sheds.Inc()
-	}
-	if s.shedsDeprecated != nil {
-		s.shedsDeprecated.Inc()
 	}
 	writeError(w, status, err)
 }
@@ -665,6 +636,16 @@ type resultBody struct {
 	Manifest    json.RawMessage `json:"manifest"`
 }
 
+// cachedBody renders a result-cache entry as the result document.
+func cachedBody(e *resultcache.Entry) resultBody {
+	return resultBody{
+		Fingerprint: e.Fingerprint,
+		TableText:   string(e.TableText),
+		TableCSV:    string(e.TableCSV),
+		Manifest:    json.RawMessage(e.Manifest),
+	}
+}
+
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	snap, ok := s.queue.Get(id)
@@ -693,12 +674,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		// fingerprint IS the job's result.
 		if s.cache != nil && len(snap.Fingerprint) == 64 {
 			if entry, hit, err := s.cache.Get(snap.Fingerprint); err == nil && hit {
-				writeJSON(w, http.StatusOK, resultBody{
-					Fingerprint: entry.Fingerprint,
-					TableText:   string(entry.TableText),
-					TableCSV:    string(entry.TableCSV),
-					Manifest:    json.RawMessage(entry.Manifest),
-				})
+				writeJSON(w, http.StatusOK, cachedBody(entry))
 				return
 			}
 		}
@@ -833,8 +809,12 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 const maxPeerDocBytes = 32 << 20
 
 // handlePeerPut accepts a ring predecessor's finished result replica
-// (POST /v1/peer/results). Only complete results are admitted; the store
-// bounds memory by LRU-evicting cold replicas.
+// (POST /v1/peer/results) into this worker's result cache under the same
+// fingerprint — the one store for finished results, so a replica survives
+// a restart and a resubmission of the spec here is a cache hit. Only
+// complete, well-formed results are admitted. A replica the cache cannot
+// take (breaker open, failed write) is a 503: the sender retries, and the
+// replicated counters count only replicas that landed.
 func (s *Server) handlePeerPut(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(io.LimitReader(r.Body, maxPeerDocBytes+1))
 	if err != nil {
@@ -854,52 +834,49 @@ func (s *Server) handlePeerPut(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, errors.New("replica is not marked complete; partial results replicate via the chunk store, not peering"))
 		return
 	}
-	if err := s.peers.Put(peering.Replica{
+	rep := peering.Replica{
 		Fingerprint: doc.Fingerprint,
 		TableText:   []byte(doc.TableText),
 		TableCSV:    []byte(doc.TableCSV),
 		Manifest:    []byte(doc.Manifest),
-	}); err != nil {
+	}
+	if err := rep.Valid(); err != nil {
 		writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	// An open breaker turns Put into a silent bypass; refuse instead so
+	// the sender does not count a replica that never landed.
+	if s.cache.BreakerState() == resultcache.BreakerOpen {
+		writeError(w, http.StatusServiceUnavailable, errors.New("result cache unavailable (breaker open)"))
+		return
+	}
+	if err := s.cache.Put(&resultcache.Entry{
+		Fingerprint: rep.Fingerprint,
+		TableText:   rep.TableText,
+		TableCSV:    rep.TableCSV,
+		Manifest:    rep.Manifest,
+	}); err != nil {
+		writeError(w, http.StatusServiceUnavailable, fmt.Errorf("storing replica: %w", err))
 		return
 	}
 	if s.peerReceived != nil {
 		s.peerReceived.Inc()
 	}
-	if s.peerHeld != nil {
-		s.peerHeld.Set(float64(s.peers.Len()))
-	}
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// handlePeerGet serves a replicated result by fingerprint, falling back
-// to this worker's own result cache — a hedged read or a handoff probe
-// is satisfied by any node that holds the finished bytes, replicated or
-// computed. The body is the same resultBody document /result serves, so
-// a peer-served result is byte-identical to the owner's.
+// handlePeerGet serves a finished result from this worker's result cache
+// by fingerprint — a hedged read or a handoff probe is satisfied by any
+// node that holds the finished bytes, replicated or computed. The body is
+// the same resultBody document /result serves, so a peer-served result is
+// byte-identical to the owner's.
 func (s *Server) handlePeerGet(w http.ResponseWriter, r *http.Request) {
-	fp := r.PathValue("fingerprint")
-	if rep, ok := s.peers.Get(fp); ok {
-		writeJSON(w, http.StatusOK, resultBody{
-			Fingerprint: rep.Fingerprint,
-			TableText:   string(rep.TableText),
-			TableCSV:    string(rep.TableCSV),
-			Manifest:    json.RawMessage(rep.Manifest),
-		})
+	entry, hit, err := s.cache.Get(r.PathValue("fingerprint"))
+	if err != nil || !hit {
+		writeError(w, http.StatusNotFound, errors.New("no replica for this fingerprint"))
 		return
 	}
-	if s.cache != nil && len(fp) == 64 {
-		if entry, hit, err := s.cache.Get(fp); err == nil && hit {
-			writeJSON(w, http.StatusOK, resultBody{
-				Fingerprint: entry.Fingerprint,
-				TableText:   string(entry.TableText),
-				TableCSV:    string(entry.TableCSV),
-				Manifest:    json.RawMessage(entry.Manifest),
-			})
-			return
-		}
-	}
-	writeError(w, http.StatusNotFound, errors.New("no replica for this fingerprint"))
+	writeJSON(w, http.StatusOK, cachedBody(entry))
 }
 
 func (s *Server) handleCacheStats(w http.ResponseWriter, _ *http.Request) {

@@ -630,7 +630,7 @@ func DefaultParams() Params { return experiment.Defaults() }
 // returns the across-seed means with 95% confidence half-widths — the
 // replication the paper's single-run evaluation lacks.
 func ReplicateExperiment(e Experiment, p Params, n int) (*Table, error) {
-	return experiment.Replicate(e, p, n)
+	return experiment.Replicate(e, p, n, experiment.ReplicateConfig{Workers: 1})
 }
 
 // ReplicateExperimentParallel is ReplicateExperiment with replications
@@ -638,5 +638,5 @@ func ReplicateExperiment(e Experiment, p Params, n int) (*Table, error) {
 // index, and reduction order is fixed, so the table is byte-identical to
 // the serial form for every worker count.
 func ReplicateExperimentParallel(e Experiment, p Params, n, workers int) (*Table, error) {
-	return experiment.ReplicateParallel(e, p, n, workers)
+	return experiment.Replicate(e, p, n, experiment.ReplicateConfig{Workers: workers})
 }

@@ -84,13 +84,13 @@ GW1=http://localhost:7370
 PIDS+=("$!")
 declare -A WPID
 for i in 1 2 3; do
-  "$TEMPRIVD" -addr "localhost:$((7370 + i))" -workers 2 -log-level warn \
+  GOMAXPROCS=2 "$TEMPRIVD" -addr "localhost:$((7370 + i))" -log-level warn \
     -cache "$CACHES/p1-w$i" \
     -cluster-registry $GW1 -cluster-id "w$i" -cluster-url "http://127.0.0.1:$((7370 + i))" &
   WPID[w$i]=$!
   PIDS+=("$!")
 done
-"$TEMPRIVD" -addr localhost:7399 -workers 2 -log-level warn &
+GOMAXPROCS=2 "$TEMPRIVD" -addr localhost:7399 -log-level warn &
 SOLO=$!
 PIDS+=("$SOLO")
 wait_workers $GW1 3
@@ -171,7 +171,7 @@ TEMPRIV_CHAOS="partition=127.0.0.1:7473;latency=127.0.0.1:7472:200ms" \
   -hedge-delay 100ms -log-level warn &
 PIDS+=("$!")
 for i in 1 2 3; do
-  "$TEMPRIVD" -addr "localhost:$((7470 + i))" -workers 2 -log-level warn \
+  GOMAXPROCS=2 "$TEMPRIVD" -addr "localhost:$((7470 + i))" -log-level warn \
     -cache "$CACHES/p2-w$i" \
     -cluster-registry $GW2 -cluster-id "w$i" -cluster-url "http://127.0.0.1:$((7470 + i))" &
   PIDS+=("$!")
@@ -216,7 +216,7 @@ GW3=http://localhost:7570
 TEMPRIV_CHAOS="partition=127.0.0.1:7571" \
   "$TEMPRIVGW" -addr localhost:7570 -lease-ttl 30s -reconcile-every 1s -log-level warn &
 PIDS+=("$!")
-"$TEMPRIVD" -addr localhost:7571 -workers 2 -log-level warn \
+GOMAXPROCS=2 "$TEMPRIVD" -addr localhost:7571 -log-level warn \
   -cluster-registry $GW3 -cluster-id w1 -cluster-url "http://127.0.0.1:7571" &
 PIDS+=("$!")
 wait_workers $GW3 1

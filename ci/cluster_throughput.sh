@@ -2,9 +2,10 @@
 # Cluster scaling proof: the same batch of CPU-heavy sweep jobs through a
 # 1-worker cluster and then a fresh 3-worker cluster, all through the
 # gateway. Sharding by fingerprint must spread distinct seeds across the
-# ring, so three single-lane workers (-workers 1) should finish the batch
-# close to 3x faster than one — and every result must be byte-identical
-# between the two runs (same spec, same tables, regardless of placement).
+# ring, so three single-lane workers (GOMAXPROCS=1: one job lane and a
+# CPU budget of one) should finish the batch close to 3x faster than one —
+# and every result must be byte-identical between the two runs (same
+# spec, same tables, regardless of placement).
 #
 # On machines with >= 3 CPUs the measured ratio must clear MIN_RATIO
 # (default 1.5; near-linear would be ~3.0, the floor leaves room for ring
@@ -58,7 +59,7 @@ run_batch() {
   PIDS+=("$GWPID")
   local WPIDS=()
   for i in $(seq 1 "$W"); do
-    "$TEMPRIVD" -addr "localhost:$((PORT + i))" -workers 1 \
+    GOMAXPROCS=1 "$TEMPRIVD" -addr "localhost:$((PORT + i))" \
       -cluster-registry "$GWURL" -cluster-id "w$i" -log-level warn &
     WPIDS+=("$!")
     PIDS+=("$!")

@@ -12,13 +12,13 @@
 //
 //	sweep -exp fig3 -packets 200 -interarrivals 2,10,20
 //
-// Replication across seeds is partitioned over worker goroutines — one per
-// CPU by default — each reusing a pool of arena-backed simulation engines,
-// with a deterministic merge so the output is byte-identical to the serial
-// -j 1 form (and to -fresh-engines, which disables engine reuse):
+// Replicates and sweep points run in parallel on one CPU budget of
+// GOMAXPROCS goroutines, reusing pooled arena-backed simulation engines,
+// with a deterministic merge so the output is byte-identical for every
+// GOMAXPROCS (and with -fresh-engines, which disables engine reuse):
 //
-//	sweep -exp fig2b -replicate 8        # -j defaults to all CPUs
-//	sweep -exp fig2b -replicate 8 -j 1   # force the serial path
+//	sweep -exp fig2b -replicate 8                # all CPUs
+//	GOMAXPROCS=1 sweep -exp fig2b -replicate 8   # one CPU, same bytes
 //
 // Result caching — repeated sweeps of identical scenarios reuse the
 // fingerprint-keyed result cache (the same engine and cache cmd/temprivd
@@ -79,9 +79,7 @@ func run(args []string) (err error) {
 		interarrivals = fs.String("interarrivals", "", "comma-separated 1/λ sweep (default 2..20)")
 		meanDelay     = fs.Float64("mean-delay", 0, "mean per-hop buffering delay 1/µ (0 = paper default 30)")
 		capacity      = fs.Int("capacity", 0, "buffer slots k (0 = paper default 10)")
-		workers       = fs.Int("workers", 0, "parallel sweep workers (0 = GOMAXPROCS)")
 		replicate     = fs.Int("replicate", 1, "run each experiment under N consecutive seeds and report mean ± 95% CI")
-		repWorkers    = fs.Int("j", 0, "replication worker goroutines (0 = one per CPU; output stays byte-identical to -j 1)")
 		freshEngines  = fs.Bool("fresh-engines", false, "build every simulation engine from scratch instead of reusing pooled engines (slower; bytes identical)")
 		keepChunks    = fs.Bool("keep-chunks", false, "with -resume, keep each experiment's replicate chunks after it completes instead of removing them")
 		cpuProfile    = fs.String("cpuprofile", "", "write a CPU profile of the whole sweep to this file")
@@ -106,12 +104,6 @@ func run(args []string) (err error) {
 	// Everything below validates before the first byte of stdout: bad flags
 	// produce one stderr diagnostic and a non-zero exit, never a partial
 	// table.
-	if *repWorkers < 0 {
-		return fmt.Errorf("-j must be >= 0, got %d", *repWorkers)
-	}
-	if *repWorkers == 0 {
-		*repWorkers = runtime.GOMAXPROCS(0)
-	}
 	if *replicate < 1 {
 		return fmt.Errorf("-replicate must be >= 1, got %d", *replicate)
 	}
@@ -123,9 +115,6 @@ func run(args []string) (err error) {
 	}
 	if *capacity < 0 {
 		return fmt.Errorf("-capacity must be >= 0, got %d", *capacity)
-	}
-	if *workers < 0 {
-		return fmt.Errorf("-workers must be >= 0, got %d", *workers)
 	}
 	var ias []float64
 	if *interarrivals != "" {
@@ -244,11 +233,7 @@ func run(args []string) (err error) {
 			}
 		}
 		if text == nil {
-			runOpts := scenario.Options{
-				ReplicateWorkers:   *repWorkers,
-				SweepWorkers:       *workers,
-				DisableEngineReuse: *freshEngines,
-			}
+			runOpts := scenario.Options{DisableEngineReuse: *freshEngines}
 			var sink *resultstream.Sink
 			if chunks != nil {
 				var err error
@@ -370,7 +355,7 @@ type sweepSummary struct {
 }
 
 func newRunManifest(id string, p tempriv.Params, replicates int, wall float64) (runManifest, error) {
-	// Seed and Workers are execution labels, not configuration: two runs
+	// The seed is an execution label, not configuration: two runs
 	// differing only there fingerprint identically.
 	fp, err := tempriv.ConfigFingerprint(map[string]any{
 		"experiment":    id,

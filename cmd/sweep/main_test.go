@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"tempriv/internal/budget"
 	"tempriv/internal/resultstream"
 	"tempriv/internal/scenario"
 )
@@ -67,22 +68,37 @@ func TestReplicateFlag(t *testing.T) {
 	}
 }
 
+// TestReplicateParallelFlag: -replicate runs its replicates in parallel on
+// the CPU budget, and the artifacts are byte-identical at every budget
+// size, with and without -fresh-engines.
 func TestReplicateParallelFlag(t *testing.T) {
-	err := run([]string{
-		"-exp", "fig2b",
-		"-packets", "60",
-		"-interarrivals", "5",
-		"-replicate", "3",
-		"-j", "3",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRejectsBadWorkerCount(t *testing.T) {
-	if err := run([]string{"-exp", "fig2b", "-replicate", "2", "-j", "-1"}); err == nil {
-		t.Fatal("-j -1 accepted")
+	var want []byte
+	for _, size := range []int{1, 3} {
+		for _, extra := range [][]string{nil, {"-fresh-engines"}} {
+			dir := t.TempDir()
+			args := append([]string{
+				"-exp", "fig2b",
+				"-packets", "60",
+				"-interarrivals", "5",
+				"-replicate", "3",
+				"-out", dir,
+			}, extra...)
+			restore := budget.SetForTesting(size)
+			err := run(args)
+			restore()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := os.ReadFile(filepath.Join(dir, "fig2b.txt"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want == nil {
+				want = got
+			} else if !bytes.Equal(got, want) {
+				t.Fatalf("budget %d %v: fig2b.txt differs from budget 1", size, extra)
+			}
+		}
 	}
 }
 
@@ -190,7 +206,6 @@ func TestRejectsBadFlagValues(t *testing.T) {
 		{"-exp", "fig2a", "-packets", "-5"},
 		{"-exp", "fig2a", "-mean-delay", "-1"},
 		{"-exp", "fig2a", "-capacity", "-2"},
-		{"-exp", "fig2a", "-workers", "-1"},
 	}
 	for _, args := range cases {
 		if err := run(args); err == nil {

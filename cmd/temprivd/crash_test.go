@@ -28,7 +28,8 @@ func decodeInto(resp *http.Response, v any) error {
 const slowScenario = `{"version":1,"experiment":{"id":"fig3","packets":400,"interarrivals":[2,4],"replicates":8,"seed":7}}`
 
 // TestHelperDaemon is not a test: it is the subprocess body for the crash
-// e2e. The parent re-execs this binary with TEMPRIVD_HELPER=1 and SIGKILLs
+// e2e. The parent re-execs this binary with TEMPRIVD_HELPER=1 (and
+// GOMAXPROCS=1, so one job lane runs one replicate at a time) and SIGKILLs
 // it mid-run — exactly the failure the journal exists for.
 func TestHelperDaemon(t *testing.T) {
 	if os.Getenv("TEMPRIVD_HELPER") != "1" {
@@ -40,7 +41,7 @@ func TestHelperDaemon(t *testing.T) {
 		fmt.Printf("DAEMON_ADDR=%s\n", <-ready)
 	}()
 	args := []string{
-		"-addr", "localhost:0", "-workers", "1",
+		"-addr", "localhost:0",
 		"-cache", os.Getenv("TEMPRIVD_CACHE"),
 		"-journal", os.Getenv("TEMPRIVD_JOURNAL"),
 	}
@@ -70,7 +71,7 @@ func TestCrashRecovery(t *testing.T) {
 	// --- Phase 1: real subprocess, killed without warning. ---
 	cmd := exec.Command(os.Args[0], "-test.run", "^TestHelperDaemon$", "-test.v")
 	cmd.Env = append(os.Environ(),
-		"TEMPRIVD_HELPER=1",
+		"TEMPRIVD_HELPER=1", "GOMAXPROCS=1",
 		"TEMPRIVD_CACHE="+cacheDir,
 		"TEMPRIVD_JOURNAL="+journalDir,
 	)

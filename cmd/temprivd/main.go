@@ -1,8 +1,8 @@
 // Command temprivd serves the simulator as a long-running service: clients
-// POST versioned scenario specs to /v1/jobs, a bounded worker pool executes
-// them, and a fingerprint-keyed on-disk result cache answers repeated
-// scenarios without re-simulating (byte-identical to a fresh run — every
-// scenario is seed-deterministic).
+// POST versioned scenario specs to /v1/jobs, a bounded set of job lanes
+// executes them, and a fingerprint-keyed on-disk result cache answers
+// repeated scenarios without re-simulating (byte-identical to a fresh run
+// — every scenario is seed-deterministic).
 //
 //	temprivd -addr localhost:7077 -cache ./cache -journal ./journal
 //
@@ -29,6 +29,15 @@
 // /readyz answers 503 until replay finishes, then flips to 200; /healthz
 // is pure liveness and stays 200 throughout.
 //
+// Parallelism: the process has one CPU budget of GOMAXPROCS tokens
+// (internal/budget). There are GOMAXPROCS job lanes, a fresh run holds one
+// token, and its replicates and sweep points fan out over the tokens other
+// runs leave idle; cache hits take none. In cluster mode the advertised
+// capacity is GOMAXPROCS too. Set GOMAXPROCS in the environment to size
+// it:
+//
+//	GOMAXPROCS=2 temprivd -addr localhost:7077 -cache ./cache
+//
 // SIGTERM/SIGINT drains gracefully: /readyz goes not-ready, no new
 // submissions, in-flight jobs finish (up to -drain-timeout, then they are
 // canceled), live /events streams are closed, then the listener closes.
@@ -45,11 +54,11 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"runtime"
 	"sync/atomic"
 	"syscall"
 	"time"
 
+	"tempriv/internal/budget"
 	"tempriv/internal/buildinfo"
 	"tempriv/internal/cluster/chaostransport"
 	"tempriv/internal/cluster/peering"
@@ -90,11 +99,9 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 		cacheMaxMB   = fs.Int64("cache-max-mb", 256, "result-cache size bound in MiB (-1 = unbounded)")
 		journalDir   = fs.String("journal", "", "job journal directory (empty = no crash durability)")
 		chunksDir    = fs.String("chunks", "", "result-chunk directory for streaming/resumable replicates (empty = disabled)")
-		workers      = fs.Int("workers", 0, "job worker goroutines (0 = GOMAXPROCS)")
 		queueDepth   = fs.Int("queue-depth", 64, "max queued jobs before 429")
 		retries      = fs.Int("retries", 2, "transient-failure retries per job")
 		runTimeout   = fs.Duration("run-timeout", 10*time.Minute, "per-job wall-clock deadline across all attempts (0 = none)")
-		repWorkers   = fs.Int("j", 1, "replication worker goroutines per job (0 = one per CPU)")
 		drainTimeout = fs.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight jobs")
 		traceDir     = fs.String("trace-dir", "", "directory for the finished-trace JSONL stream (empty = ring buffer only)")
 		traceCap     = fs.Int("trace-cap", obs.DefaultCapacity, "how many recent traces /v1/traces retains")
@@ -113,7 +120,6 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 		clusterRegistry  = fs.String("cluster-registry", "", "gateway base URL to register with (empty = standalone)")
 		clusterID        = fs.String("cluster-id", "", "stable worker ID within the cluster (required with -cluster-registry)")
 		clusterURL       = fs.String("cluster-url", "", "advertised base URL for this worker (default http://<listen addr>)")
-		clusterCapacity  = fs.Int("cluster-capacity", 0, "advertised capacity (default: -workers)")
 		clusterHeartbeat = fs.Duration("cluster-heartbeat", 0, "heartbeat interval (0 = a third of the granted lease TTL)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -130,14 +136,8 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 	if *traceCap < 1 {
 		return fmt.Errorf("-trace-cap must be >= 1, got %d", *traceCap)
 	}
-	if *workers == 0 {
-		*workers = runtime.GOMAXPROCS(0)
-	}
-	if *repWorkers == 0 {
-		*repWorkers = runtime.GOMAXPROCS(0)
-	}
-	if *workers < 1 || *queueDepth < 1 || *repWorkers < 0 {
-		return fmt.Errorf("-workers, -queue-depth and -j must be >= 1 (or 0 for auto)")
+	if *queueDepth < 1 {
+		return fmt.Errorf("-queue-depth must be >= 1, got %d", *queueDepth)
 	}
 	if *retries < 0 {
 		return fmt.Errorf("-retries must be >= 0, got %d", *retries)
@@ -259,8 +259,10 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 		reg.Gauge("tempriv_journal_corrupt_lines").Set(float64(st.CorruptLines + skipped))
 	}
 
+	// One job lane per budget token: a fresh run holds a token, so the
+	// lanes never multiply CPU use.
 	opts := jobs.Options{
-		Workers:    *workers,
+		Workers:    budget.Size(),
 		QueueDepth: *queueDepth,
 		MaxRetries: *retries,
 		RunTimeout: *runTimeout,
@@ -334,11 +336,10 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 	}
 
 	runner := server.NewRunnerConfig(server.RunnerConfig{
-		Cache:            cache,
-		Registry:         reg,
-		ReplicateWorkers: *repWorkers,
-		Chunks:           chunks,
-		CachedResultSLO:  cachedSLO,
+		Cache:           cache,
+		Registry:        reg,
+		Chunks:          chunks,
+		CachedResultSLO: cachedSLO,
 	})
 	queue := jobs.New(runner, opts)
 
@@ -366,7 +367,7 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 	go func() { serveErr <- srv.Serve(ln) }()
 	log.LogAttrs(ctx, slog.LevelInfo, "temprivd listening",
 		slog.String("addr", "http://"+ln.Addr().String()),
-		slog.Int("workers", *workers),
+		slog.Int("workers", opts.Workers),
 		slog.String("cache", dirLabel(*cacheDir)),
 		slog.String("journal", dirLabel(*journalDir)),
 		slog.String("chunks", dirLabel(*chunksDir)),
@@ -383,10 +384,7 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 		if selfURL == "" {
 			selfURL = "http://" + ln.Addr().String()
 		}
-		capacity := *clusterCapacity
-		if capacity <= 0 {
-			capacity = *workers
-		}
+		capacity := budget.Size()
 		beats := reg.Counter("tempriv_cluster_heartbeats_total")
 		beatErrs := reg.Counter("tempriv_cluster_heartbeat_errors_total")
 		epochGauge := reg.Gauge("tempriv_cluster_epoch")

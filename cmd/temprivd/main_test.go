@@ -19,7 +19,7 @@ const testScenario = `{"version":1,"experiment":{"id":"fig2a","packets":10,"inte
 func startDaemon(t *testing.T, extraArgs ...string) (string, func() error) {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
-	args := append([]string{"-addr", "localhost:0", "-workers", "2", "-drain-timeout", "10s"}, extraArgs...)
+	args := append([]string{"-addr", "localhost:0", "-drain-timeout", "10s"}, extraArgs...)
 	ready := make(chan string, 1)
 	done := make(chan error, 1)
 	go func() { done <- run(ctx, args, ready) }()
@@ -204,10 +204,8 @@ func TestGracefulShutdown(t *testing.T) {
 
 func TestRejectsBadFlags(t *testing.T) {
 	cases := [][]string{
-		{"-workers", "-1"},
 		{"-queue-depth", "0"},
 		{"-retries", "-1"},
-		{"-j", "-1"},
 		{"-run-timeout", "-1s"},
 		{"-drain-timeout", "0s"},
 	}

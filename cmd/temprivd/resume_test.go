@@ -69,7 +69,7 @@ func TestResumeAfterCrash(t *testing.T) {
 	// --- Phase 1: subprocess daemon, killed once >=2 chunks persist. ---
 	cmd := exec.Command(os.Args[0], "-test.run", "^TestHelperDaemon$", "-test.v")
 	cmd.Env = append(os.Environ(),
-		"TEMPRIVD_HELPER=1",
+		"TEMPRIVD_HELPER=1", "GOMAXPROCS=1",
 		"TEMPRIVD_CACHE="+cacheDir,
 		"TEMPRIVD_JOURNAL="+journalDir,
 		"TEMPRIVD_CHUNKS="+chunksDir,

@@ -103,7 +103,7 @@ func newWorker(t *testing.T, id, chunksDir, cacheDir string) *worker {
 		}
 	}
 	runner := server.NewRunnerConfig(server.RunnerConfig{
-		Cache: cache, Registry: reg, ReplicateWorkers: 1, Chunks: chunks,
+		Cache: cache, Registry: reg, Chunks: chunks,
 	})
 	q := jobs.New(runner, jobs.Options{Workers: 2})
 	api := server.NewConfig(server.Config{

@@ -205,11 +205,21 @@ func (g *Gateway) handleResult(w http.ResponseWriter, r *http.Request) {
 	if q := r.URL.RawQuery; q != "" {
 		path += "?" + q
 	}
-	if r.URL.Query().Get("partial") == "" && g.hedgeDelay >= 0 {
-		g.hedgedResult(w, r, rt, path)
-		return
+	partial := r.URL.Query().Get("partial")
+	var status int
+	if partial == "" && g.hedgeDelay >= 0 {
+		status = g.hedgedResult(w, r, rt, path)
+	} else {
+		status = g.proxyStream(w, r, rt, path, nil)
 	}
-	g.proxyStream(w, r, rt, path, nil)
+	// A worker answers a full-result read with 200 only for a done job, so
+	// a client that polls nothing but /result still retires its route from
+	// the outstanding count the shed decision reads.
+	if status == http.StatusOK && partial != "1" {
+		g.mu.Lock()
+		rt.state = jobs.StateDone
+		g.mu.Unlock()
+	}
 }
 
 // bufferedFetch is one buffered HTTP response in a hedged race.
@@ -282,8 +292,9 @@ func (g *Gateway) resolveHedgeDelay() time.Duration {
 // replica: the owner gets a head start of the hedge delay, then the first
 // 200 wins. The documents are content-addressed and byte-identical, so
 // the race can never serve divergent answers. Failures fall back to
-// whatever the owner said — the hedge only ever improves latency.
-func (g *Gateway) hedgedResult(w http.ResponseWriter, r *http.Request, rt *route, path string) {
+// whatever the owner said — the hedge only ever improves latency. It
+// returns the status served (0 if the client went away first).
+func (g *Gateway) hedgedResult(w http.ResponseWriter, r *http.Request, rt *route, path string) int {
 	g.mu.Lock()
 	ownerURL, traceID, ownerID := rt.WorkerURL, rt.TraceID, rt.WorkerID
 	g.mu.Unlock()
@@ -330,15 +341,13 @@ func (g *Gateway) hedgedResult(w http.ResponseWriter, r *http.Request, rt *route
 						g.log.Info("hedged read won", "job", rt.ID, "owner", ownerID)
 					}
 				}
-				g.serveBuffered(w, rt, res)
-				return
+				return g.serveBuffered(w, rt, res)
 			}
 			if !res.hedge {
 				if res.err == nil && res.status >= 400 && res.status < 500 {
 					// The owner answered authoritatively (result not ready,
 					// job failed, ...): forward it, don't second-guess.
-					g.serveBuffered(w, rt, res)
-					return
+					return g.serveBuffered(w, rt, res)
 				}
 				// Owner unreachable or 5xx: make sure a hedge is racing.
 				ownerRes = &res
@@ -351,20 +360,20 @@ func (g *Gateway) hedgedResult(w http.ResponseWriter, r *http.Request, rt *route
 				if ownerRes != nil {
 					res = *ownerRes
 				}
-				g.serveBuffered(w, rt, res)
-				return
+				return g.serveBuffered(w, rt, res)
 			}
 		case <-r.Context().Done():
-			return
+			return 0
 		}
 	}
 }
 
-// serveBuffered writes one buffered leg of a hedged race to the client.
-func (g *Gateway) serveBuffered(w http.ResponseWriter, rt *route, res bufferedFetch) {
+// serveBuffered writes one buffered leg of a hedged race to the client
+// and returns the status it served.
+func (g *Gateway) serveBuffered(w http.ResponseWriter, rt *route, res bufferedFetch) int {
 	if res.err != nil {
 		writeError(w, http.StatusBadGateway, fmt.Errorf("worker %s unreachable: %w", rt.WorkerID, res.err))
-		return
+		return http.StatusBadGateway
 	}
 	if ct := res.header.Get("Content-Type"); ct != "" {
 		w.Header().Set("Content-Type", ct)
@@ -374,6 +383,7 @@ func (g *Gateway) serveBuffered(w http.ResponseWriter, rt *route, res bufferedFe
 	}
 	w.WriteHeader(res.status)
 	_, _ = w.Write(res.body)
+	return res.status
 }
 
 // handleEvents streams the worker's JSONL event feed, prefixed with any
@@ -526,12 +536,13 @@ func (g *Gateway) streamWorkerEvents(ctx context.Context, w io.Writer, flusher h
 
 // proxyStream forwards a streaming worker response. Headers and status
 // land first, then optional prologue events, then the worker's bytes as
-// they arrive (flushed per read so live JSONL stays live).
-func (g *Gateway) proxyStream(w http.ResponseWriter, r *http.Request, rt *route, path string, prologue []jobs.Event) {
+// they arrive (flushed per read so live JSONL stays live). It returns the
+// status served.
+func (g *Gateway) proxyStream(w http.ResponseWriter, r *http.Request, rt *route, path string, prologue []jobs.Event) int {
 	req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, rt.WorkerURL+path, nil)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err)
-		return
+		return http.StatusInternalServerError
 	}
 	if rt.TraceID != "" {
 		req.Header.Set("X-Trace-Id", rt.TraceID)
@@ -539,7 +550,7 @@ func (g *Gateway) proxyStream(w http.ResponseWriter, r *http.Request, rt *route,
 	resp, err := g.client.Do(req)
 	if err != nil {
 		writeError(w, http.StatusBadGateway, fmt.Errorf("worker %s unreachable: %w", rt.WorkerID, err))
-		return
+		return http.StatusBadGateway
 	}
 	defer resp.Body.Close()
 	if ct := resp.Header.Get("Content-Type"); ct != "" {
@@ -564,14 +575,14 @@ func (g *Gateway) proxyStream(w http.ResponseWriter, r *http.Request, rt *route,
 		n, rerr := resp.Body.Read(buf)
 		if n > 0 {
 			if _, werr := w.Write(buf[:n]); werr != nil {
-				return
+				return resp.StatusCode
 			}
 			if flusher != nil {
 				flusher.Flush()
 			}
 		}
 		if rerr != nil {
-			return
+			return resp.StatusCode
 		}
 	}
 }

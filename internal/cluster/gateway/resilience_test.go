@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"tempriv/internal/cluster/peering"
+	"tempriv/internal/cluster/registry"
 	"tempriv/internal/cluster/ring"
 )
 
@@ -419,5 +420,53 @@ func TestEventsKeepaliveAcrossFailover(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("events stream never ended after failover")
+	}
+}
+
+// TestResultOnlyPollerIsNotShed: a client that submits a job, polls only
+// /result until it answers 200, then submits the next must never be shed
+// by a capacity-1 worker's outstanding bound — on the hedged read path and
+// with hedging off. Before a 200 /result marked the route done, the first
+// job stayed "queued" in the gateway's view until a reconcile tick, and
+// the second submit got 503.
+func TestResultOnlyPollerIsNotShed(t *testing.T) {
+	for _, hedge := range []time.Duration{0, -1} {
+		t.Run(fmt.Sprintf("hedge=%v", hedge), func(t *testing.T) {
+			c := newClusterWith(t, time.Minute, func(cfg *Config) {
+				cfg.ShedFactor = 1
+				cfg.HedgeDelay = hedge
+			})
+			w := newWorker(t, "w1", "", "")
+			if _, _, err := c.reg.Register(registry.Worker{ID: "w1", URL: w.ts.URL, Capacity: 1}); err != nil {
+				t.Fatal(err)
+			}
+			for seed := 1; seed <= 3; seed++ {
+				resp, err := http.Post(c.ts.URL+"/v1/jobs", "application/json", strings.NewReader(specDoc(seed)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				var snap map[string]any
+				err = json.NewDecoder(resp.Body).Decode(&snap)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusAccepted {
+					t.Fatalf("job %d: submit answered HTTP %d, want 202", seed, resp.StatusCode)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				url := c.ts.URL + "/v1/jobs/" + stringField(snap, "id") + "/result"
+				deadline := time.Now().Add(15 * time.Second)
+				for {
+					code, _ := getBody(t, url)
+					if code == http.StatusOK {
+						break
+					}
+					if time.Now().After(deadline) {
+						t.Fatalf("job %d: /result never answered 200 (last %d)", seed, code)
+					}
+					time.Sleep(10 * time.Millisecond)
+				}
+			}
+		})
 	}
 }

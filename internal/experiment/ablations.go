@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"tempriv/internal/budget"
 	"tempriv/internal/buffer"
 	"tempriv/internal/delay"
 	"tempriv/internal/network"
@@ -35,7 +36,7 @@ func AblVictim(p Params) (*report.Table, error) {
 	for i := range grid {
 		grid[i] = make([]cell, len(selectors))
 	}
-	err = parallelFor(p.Workers, len(sweep)*len(selectors), func(idx int) error {
+	err = budget.For(len(sweep)*len(selectors), func(idx int) error {
 		i, j := idx/len(selectors), idx%len(selectors)
 		ia := sweep[i]
 		topo, sources, err := topology.Figure1()
@@ -118,7 +119,7 @@ func AblDist(p Params) (*report.Table, error) {
 
 	type row struct{ entropy, mse, lat float64 }
 	rows := make([]row, len(names))
-	err = parallelFor(p.Workers, len(names), func(i int) error {
+	err = budget.For(len(names), func(i int) error {
 		name := names[i]
 		dist, err := delay.ByName(name, p.MeanDelay)
 		if err != nil {
@@ -198,7 +199,7 @@ func AblBuffer(p Params) (*report.Table, error) {
 
 	type row struct{ mse, lat, preempt, maxTrunkOcc float64 }
 	rows := make([]row, len(capacities))
-	err = parallelFor(p.Workers, len(capacities), func(i int) error {
+	err = budget.For(len(capacities), func(i int) error {
 		q := p
 		q.Capacity = capacities[i]
 		res, sources, err := figure1Run(q, network.PolicyRCAD, ia)
@@ -258,7 +259,7 @@ func AblMu(p Params) (*report.Table, error) {
 
 	type row struct{ mse, lat, occ, rho float64 }
 	rows := make([]row, len(means))
-	err = parallelFor(p.Workers, len(means), func(i int) error {
+	err = budget.For(len(means), func(i int) error {
 		q := p
 		q.MeanDelay = means[i]
 		res, sources, err := figure1Run(q, network.PolicyUnlimited, ia)
@@ -312,7 +313,7 @@ func AblDecomp(p Params) (*report.Table, error) {
 	}
 	const hops = 15
 	const ia = 10.0
-	budget := p.MeanDelay * hops // same total mean delay in every scheme
+	delayBudget := p.MeanDelay * hops // same total mean delay in every scheme
 
 	// weightFor returns each node's share weight; node IDs on the line are
 	// 1 (adjacent to sink) … hops (the source).
@@ -327,7 +328,7 @@ func AblDecomp(p Params) (*report.Table, error) {
 
 	type row struct{ mse, lat, nearSinkOcc, predictedMSE float64 }
 	rows := make([]row, len(schemes))
-	err = parallelFor(p.Workers, len(schemes), func(i int) error {
+	err = budget.For(len(schemes), func(i int) error {
 		sc := schemes[i]
 		total := 0.0
 		for id := 1; id <= hops; id++ {
@@ -336,7 +337,7 @@ func AblDecomp(p Params) (*report.Table, error) {
 		perNode := make(map[packet.NodeID]delay.Distribution, hops)
 		predicted := 0.0
 		for id := 1; id <= hops; id++ {
-			mean := budget * sc.weight(id) / total
+			mean := delayBudget * sc.weight(id) / total
 			d, err := delay.NewExponential(mean)
 			if err != nil {
 				return err
@@ -369,7 +370,7 @@ func AblDecomp(p Params) (*report.Table, error) {
 		if err != nil {
 			return err
 		}
-		mse, err := scoreFlow(p, res, packet.NodeID(hops), budget/hops)
+		mse, err := scoreFlow(p, res, packet.NodeID(hops), delayBudget/hops)
 		if err != nil {
 			return err
 		}
@@ -394,7 +395,7 @@ func AblDecomp(p Params) (*report.Table, error) {
 		RowHeader: "scheme",
 		Columns:   []string{"adversary-MSE", "mean-latency", "near-sink-avg-occupancy", "predicted MSE Σmᵢ²"},
 		Notes: []string{
-			fmt.Sprintf("total mean delay fixed at %g (= 15 × %g); 1/λ=%g; unlimited buffers; seed=%d", budget, p.MeanDelay, ia, p.Seed),
+			fmt.Sprintf("total mean delay fixed at %g (= 15 × %g); 1/λ=%g; unlimited buffers; seed=%d", delayBudget, p.MeanDelay, ia, p.Seed),
 			"sink-light pushes delay away from the sink: lower near-sink occupancy AND higher MSE at equal latency —",
 			"the §3.3 observation that decomposition can favour nodes far from the sink",
 		},

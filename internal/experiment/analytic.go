@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"tempriv/internal/budget"
 	"tempriv/internal/buffer"
 	"tempriv/internal/infotheory"
 	"tempriv/internal/packet"
@@ -281,7 +282,7 @@ func Erlang(p Params) (*report.Table, error) {
 
 	type point struct{ drop, preempt, analytic float64 }
 	points := make([]point, len(rhos))
-	err = parallelFor(p.Workers, len(rhos), func(i int) error {
+	err = budget.For(len(rhos), func(i int) error {
 		rho := rhos[i]
 		lambda := rho / p.MeanDelay
 		_, dropStats, err := singleNodeSim(p.Seed+uint64(i), func(s *sim.Scheduler) (buffer.Policy, error) {

@@ -11,9 +11,7 @@ package experiment
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
 
 	"tempriv/internal/adversary"
 	"tempriv/internal/delay"
@@ -44,15 +42,13 @@ type Params struct {
 	// Threshold is the adaptive adversary's Erlang-loss switch point
 	// (paper: 0.1).
 	Threshold float64
-	// Workers bounds sweep parallelism; defaults to GOMAXPROCS.
-	Workers int
 	// Engines optionally pools reusable simulation engines across the
 	// experiment's runs (see network.EngineCache): structurally identical
 	// simulations then share routes, pools and the packet arena instead of
 	// rebuilding them per run. Execution-only — engine reuse never affects
-	// result bytes — and safe to share across parallel sweep workers (the
-	// cache checks engines out). Replication installs per-worker caches
-	// automatically; see Replicate.
+	// result bytes — and safe to share across concurrent sweep points (the
+	// cache checks engines out). Replication installs one shared cache
+	// when this is nil; see Replicate.
 	Engines *network.EngineCache
 }
 
@@ -66,7 +62,6 @@ func Defaults() Params {
 		Capacity:      10,
 		Tau:           1,
 		Threshold:     0.1,
-		Workers:       runtime.GOMAXPROCS(0),
 	}
 }
 
@@ -90,9 +85,6 @@ func (p Params) normalized() (Params, error) {
 	}
 	if p.Threshold == 0 {
 		p.Threshold = d.Threshold
-	}
-	if p.Workers <= 0 {
-		p.Workers = d.Workers
 	}
 	if p.Packets < 0 {
 		return p, fmt.Errorf("experiment: negative packet count %d", p.Packets)
@@ -164,40 +156,6 @@ func IDs() []string {
 		out[i] = e.ID
 	}
 	return out
-}
-
-// parallelFor runs f(i) for i in [0, n) on up to workers goroutines and
-// returns the first error (by index order) if any.
-func parallelFor(workers, n int, f func(i int) error) error {
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				errs[i] = f(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // figure1Run executes one simulation of the paper's evaluation topology:

@@ -1,10 +1,8 @@
 package experiment
 
 import (
-	"errors"
 	"math"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"tempriv/internal/report"
@@ -16,7 +14,6 @@ func testParams() Params {
 	p := Defaults()
 	p.Packets = 400
 	p.Interarrivals = []float64{2, 10, 20}
-	p.Workers = 4
 	return p
 }
 
@@ -94,36 +91,6 @@ func TestParamsNormalization(t *testing.T) {
 	}
 }
 
-func TestParallelFor(t *testing.T) {
-	var total atomic.Int64
-	if err := parallelFor(4, 100, func(i int) error {
-		total.Add(int64(i))
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if total.Load() != 4950 {
-		t.Fatalf("sum = %d, want 4950", total.Load())
-	}
-	wantErr := errors.New("boom")
-	err := parallelFor(3, 10, func(i int) error {
-		if i == 7 {
-			return wantErr
-		}
-		return nil
-	})
-	if !errors.Is(err, wantErr) {
-		t.Fatalf("error not propagated: %v", err)
-	}
-	// Degenerate worker counts still complete.
-	if err := parallelFor(0, 3, func(int) error { return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if err := parallelFor(100, 1, func(int) error { return nil }); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func columnIndex(t *testing.T, tab *report.Table, name string) int {
 	t.Helper()
 	for i, c := range tab.Columns {
@@ -145,15 +112,31 @@ func TestFig2aShape(t *testing.T) {
 	unlimited := columnIndex(t, tab, "Delay&UnlimitedBuffers")
 	rcad := columnIndex(t, tab, "Delay&LimitedBuffers(RCAD)")
 
+	// Case 2's band. With unlimited buffers S1's packet crosses h = 15
+	// hops, each adding an independent Exp delay of mean θ = 1/µ = 30, and
+	// the baseline adversary subtracts the known mean hθ. The error e is a
+	// Gamma(h, θ) sum minus its mean, so E[e²] = hθ² = 1.35e4 and, from the
+	// Gamma's fourth central moment θ⁴(3h² + 6h), Var(e²) = θ⁴(2h² + 6h).
+	// The MSE averages e² over the n = p.Packets independent packets of the
+	// flow, so its standard error is θ²·√((2h² + 6h)/n) ≈ 1046 at n = 400.
+	// z bounds the family-wise false-alarm rate over the table's rows at
+	// 1e-4 (Bonferroni, two-sided, normal approximation): for 3 rows,
+	// 2·(1 − Φ(z)) = 1e-4/3 gives z = 4.15, a band of 13500 ± 4340.
+	const h, theta = 15.0, 30.0
+	const z = 4.15
+	if len(tab.Rows) != 3 {
+		t.Fatalf("z = %v is derived for 3 rows, table has %d", z, len(tab.Rows))
+	}
+	tol := z * theta * theta * math.Sqrt((2*h*h+6*h)/float64(p.Packets))
 	for _, r := range tab.Rows {
 		// Case 1: the adversary inverts the constant transmission delay
 		// exactly.
 		if r.Values[noDelay] > 1e-9 {
 			t.Fatalf("NoDelay MSE at 1/λ=%s is %v, want ≈ 0", r.Label, r.Values[noDelay])
 		}
-		// Case 2: unbiased adversary leaves only delay variance ≈ h/µ².
-		if v := r.Values[unlimited]; v < 8000 || v > 22000 {
-			t.Fatalf("Unlimited MSE at 1/λ=%s is %v, want ≈ 1.35e4", r.Label, v)
+		// Case 2: unbiased adversary leaves only delay variance h/µ².
+		if v := r.Values[unlimited]; math.Abs(v-h*theta*theta) > tol {
+			t.Fatalf("Unlimited MSE at 1/λ=%s is %v, want %v ± %.0f", r.Label, v, h*theta*theta, tol)
 		}
 	}
 	// Case 3 dominates at peak load and decays toward case 2.
@@ -446,7 +429,7 @@ func TestOccupancyShape(t *testing.T) {
 		t.Fatal("no sample shows a saturated trunk buffer at peak load")
 	}
 	// Replication must work: the row labels (sample times) are seed-independent.
-	if _, err := Replicate(Experiment{ID: "occupancy", Title: "t", Paper: "p", Run: Occupancy}, p, 2, ReplicateConfig{Workers: 1}); err != nil {
+	if _, err := Replicate(Experiment{ID: "occupancy", Title: "t", Paper: "p", Run: Occupancy}, p, 2, ReplicateConfig{}); err != nil {
 		t.Fatalf("occupancy not replicable: %v", err)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"tempriv/internal/adversary"
+	"tempriv/internal/budget"
 	"tempriv/internal/network"
 	"tempriv/internal/report"
 	"tempriv/internal/topology"
@@ -27,7 +28,7 @@ func figure1Sweep(p Params) ([]figure1Point, error) {
 		return nil, err
 	}
 	points := make([]figure1Point, len(p.Interarrivals))
-	err = parallelFor(p.Workers, len(p.Interarrivals), func(i int) error {
+	err = budget.For(len(p.Interarrivals), func(i int) error {
 		ia := p.Interarrivals[i]
 		pt := &points[i]
 

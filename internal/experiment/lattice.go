@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"tempriv/internal/adversary"
+	"tempriv/internal/budget"
 	"tempriv/internal/network"
 	"tempriv/internal/report"
 )
@@ -26,7 +27,7 @@ func AblLattice(p Params) (*report.Table, error) {
 
 	type row struct{ raw, lattice, recovered float64 }
 	rows := make([]row, len(means))
-	err = parallelFor(p.Workers, len(means), func(i int) error {
+	err = budget.For(len(means), func(i int) error {
 		q := p
 		q.MeanDelay = means[i]
 		res, sources, err := figure1Run(q, network.PolicyUnlimited, ia)

@@ -3,6 +3,7 @@ package experiment
 import (
 	"fmt"
 
+	"tempriv/internal/budget"
 	"tempriv/internal/delay"
 	"tempriv/internal/network"
 	"tempriv/internal/report"
@@ -25,7 +26,7 @@ func AblLinkLoss(p Params) (*report.Table, error) {
 
 	type row struct{ ratio, retxPerPkt, dropPerPkt, mse, lat float64 }
 	rows := make([]row, len(sweep))
-	err = parallelFor(p.Workers, len(sweep), func(i int) error {
+	err = budget.For(len(sweep), func(i int) error {
 		topo, sources, err := topology.Figure1()
 		if err != nil {
 			return err

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"tempriv/internal/adversary"
+	"tempriv/internal/budget"
 	"tempriv/internal/buffer"
 	"tempriv/internal/delay"
 	"tempriv/internal/mix"
@@ -75,7 +76,7 @@ func AblMix(p Params) (*report.Table, error) {
 
 	type row struct{ genieMSE, lat, peakOcc, delivered float64 }
 	rows := make([]row, len(schemes))
-	err = parallelFor(p.Workers, len(schemes), func(i int) error {
+	err = budget.For(len(schemes), func(i int) error {
 		sc := schemes[i]
 		topo, sources, err := topology.Figure1()
 		if err != nil {

@@ -6,6 +6,7 @@ import (
 	"math"
 	"sync"
 
+	"tempriv/internal/budget"
 	"tempriv/internal/metrics"
 	"tempriv/internal/network"
 	"tempriv/internal/report"
@@ -17,9 +18,11 @@ import (
 // HTTP layer serves partials, and a restarted job answers Have from the
 // surviving chunks).
 //
-// The engine calls Have exactly once per replicate and Emit exactly once
-// per replicate, both from its coordinating goroutine, Emit in strict
-// replicate-index order. A sink therefore needs no internal locking.
+// The engine calls Have exactly once per replicate, from the calling
+// goroutine before any replicate runs, and Emit exactly once per
+// replicate, in strict replicate-index order. Emit calls may come from
+// different goroutines but never overlap, and each happens after the one
+// before it, so a sink needs no internal locking.
 type ReplicateSink interface {
 	// Have returns an already-persisted table for replicate rep, or nil to
 	// have the engine compute it. A non-nil table must be the exact table
@@ -33,14 +36,11 @@ type ReplicateSink interface {
 // ReplicateConfig tunes how Replicate executes. Every field is
 // execution-only: the output table is byte-identical for any setting.
 type ReplicateConfig struct {
-	// Workers bounds replication parallelism; values below 1 run the
-	// replicates serially.
-	Workers int
 	// Sink, when set, streams per-replicate tables and answers resume
 	// queries; see ReplicateSink.
 	Sink ReplicateSink
-	// FreshEngines disables per-worker engine reuse: every replicate builds
-	// its simulations from scratch, exactly as a plain run does. The knob
+	// FreshEngines disables engine reuse: every replicate builds its
+	// simulations from scratch, exactly as a plain run does. The knob
 	// exists for the differential tests and for debugging; results are
 	// byte-identical either way.
 	FreshEngines bool
@@ -53,17 +53,17 @@ type ReplicateConfig struct {
 // 1.96·s/√n). The paper reports single runs; replication quantifies how
 // much of each curve is signal.
 //
-// The replicates are partitioned over rc.Workers goroutines, each reusing
-// its own pool of arena-backed simulation engines across the replicates it
-// draws. Each replicate's seed derives from its index, not from
-// scheduling, and its table is folded into the running Welford reduction —
-// and streamed to rc.Sink — in strict replicate order as it completes, so
-// the output is byte-identical for every worker count and engine setting.
-// With a sink, replicates the sink already holds (Have) are not recomputed,
-// and the reduction stays byte-identical because the same tables enter it
-// in the same order either way.
+// The replicates fan out over the CPU budget (budget.For) and share one
+// engine cache (p.Engines, or a new one) so they reuse arena-backed
+// simulation engines instead of rebuilding them per seed. Each replicate's
+// seed derives from its index, not from scheduling, and its table is
+// folded into the running Welford reduction — and streamed to rc.Sink — in
+// strict replicate order as it completes, so the output is byte-identical
+// for every budget size and engine setting. With a sink, replicates the
+// sink already holds (Have) are not recomputed, and the reduction stays
+// byte-identical because the same tables enter it in the same order either
+// way. Every replicate runs to completion; the lowest-index error wins.
 func Replicate(e Experiment, p Params, n int, rc ReplicateConfig) (*report.Table, error) {
-	workers, sink := rc.Workers, rc.Sink
 	if e.Run == nil {
 		return nil, errors.New("experiment: replicate of experiment without Run")
 	}
@@ -74,137 +74,78 @@ func Replicate(e Experiment, p Params, n int, rc ReplicateConfig) (*report.Table
 	if err != nil {
 		return nil, err
 	}
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-
-	// Resume pass: ask the sink (single-goroutine contract) which
-	// replicates are already in hand before any worker starts. The missing
-	// list is snapshotted here because the consumer releases resumed entries
-	// as it folds them — the feeder must not read that array concurrently.
-	resumed := make([]*report.Table, n)
-	missing := make([]int, 0, n)
-	for rep := 0; rep < n; rep++ {
-		if sink != nil {
-			resumed[rep] = sink.Have(rep)
-		}
-		if resumed[rep] == nil {
-			missing = append(missing, rep)
-		}
+	if rc.FreshEngines {
+		p.Engines = nil
+	} else if p.Engines == nil {
+		p.Engines = network.NewEngineCache()
 	}
 
-	type item struct {
-		rep int
-		tab *report.Table
-		err error
-	}
-	reps := make(chan int)
-	out := make(chan item, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Each worker owns a private engine cache: the replicates it
-			// draws reuse one arena-backed engine per simulation structure
-			// instead of rebuilding it per seed. Reuse is byte-invisible
-			// (the engine rearm contract), so this changes wall-clock only.
-			cache := p.Engines
-			if rc.FreshEngines {
-				cache = nil
-			} else if cache == nil {
-				cache = network.NewEngineCache()
-			}
-			for rep := range reps {
-				q := p
-				q.Seed = p.Seed + uint64(rep)
-				q.Engines = cache
-				tab, err := e.Run(q)
-				if err == nil {
-					err = tab.Validate()
-				}
-				if err != nil {
-					err = fmt.Errorf("experiment: replication %d: %w", rep, err)
-				}
-				out <- item{rep: rep, tab: tab, err: err}
-			}
-		}()
-	}
-	go func() {
-		for _, rep := range missing {
-			reps <- rep
+	// Resume pass: ask the sink which replicates are already in hand
+	// before any replicate runs.
+	tabs := make([]*report.Table, n)
+	fresh := make([]bool, n)
+	for rep := range tabs {
+		if rc.Sink != nil {
+			tabs[rep] = rc.Sink.Have(rep)
 		}
-		close(reps)
-		wg.Wait()
-		close(out)
-	}()
+		fresh[rep] = tabs[rep] == nil
+	}
 
-	// Consume completions through a reorder buffer so the reduction (and
-	// the sink) always sees replicate order; as in the pre-streaming path,
-	// every replicate runs to completion and the lowest-index error wins.
-	var acc tableAccumulator
-	pending := make(map[int]item, workers)
-	errs := make([]error, n)
-	next := 0
-	process := func(it item) {
-		if it.err != nil {
-			errs[it.rep] = it.err
-			return
-		}
-		fresh := resumed[it.rep] == nil
-		if err := acc.add(it.tab); err != nil {
-			errs[it.rep] = fmt.Errorf("experiment: replication %d %w", it.rep, err)
-			return
-		}
-		if sink != nil {
-			if err := sink.Emit(it.rep, fresh, it.tab); err != nil {
-				errs[it.rep] = fmt.Errorf("experiment: replication %d: sink: %w", it.rep, err)
-			}
-		}
-	}
+	// Finished replicates wait in tabs/errs until every lower index is in;
+	// advance then folds them (and streams them to the sink) in replicate
+	// order. After the first failure it stops folding but keeps draining,
+	// so the error is deterministic.
+	var (
+		mu      sync.Mutex
+		acc     tableAccumulator
+		errs    = make([]error, n)
+		next    int
+		stopped bool
+	)
 	advance := func() {
-		for next < n {
-			it, ok := pending[next]
-			switch {
-			case ok:
-				delete(pending, next)
-			case resumed[next] != nil:
-				it = item{rep: next, tab: resumed[next]}
-			default:
-				return
+		for ; next < n && (tabs[next] != nil || errs[next] != nil); next++ {
+			tab := tabs[next]
+			tabs[next] = nil // release for GC once merged
+			if stopped = stopped || errs[next] != nil; stopped {
+				continue
 			}
-			// Stop folding after the first failure but keep draining, so
-			// workers never block and the error is deterministic.
-			if firstErr(errs, next) == nil {
-				process(it)
+			if err := acc.add(tab); err != nil {
+				errs[next] = fmt.Errorf("experiment: replication %d %w", next, err)
+			} else if rc.Sink != nil {
+				if err := rc.Sink.Emit(next, fresh[next], tab); err != nil {
+					errs[next] = fmt.Errorf("experiment: replication %d: sink: %w", next, err)
+				}
 			}
-			resumed[next] = nil // release for GC once merged
-			next++
+			stopped = errs[next] != nil
 		}
 	}
 	advance()
-	for it := range out {
-		pending[it.rep] = it
+	_ = budget.For(n, func(rep int) error {
+		if !fresh[rep] {
+			return nil
+		}
+		q := p
+		q.Seed = p.Seed + uint64(rep)
+		tab, err := e.Run(q)
+		if err == nil {
+			err = tab.Validate()
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		if err != nil {
+			errs[rep] = fmt.Errorf("experiment: replication %d: %w", rep, err)
+		} else {
+			tabs[rep] = tab
+		}
 		advance()
-	}
-	advance()
-	if err := firstErr(errs, n); err != nil {
-		return nil, err
+		return nil
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
 	}
 	return acc.table(p, n)
-}
-
-// firstErr returns the lowest-index error among errs[:limit].
-func firstErr(errs []error, limit int) error {
-	for i := 0; i < limit; i++ {
-		if errs[i] != nil {
-			return errs[i]
-		}
-	}
-	return nil
 }
 
 // tableAccumulator folds replicate tables, delivered in replicate order,

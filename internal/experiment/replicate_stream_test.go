@@ -11,7 +11,8 @@ import (
 )
 
 // recordingReplicateSink captures the engine's sink protocol so the
-// single-goroutine, in-order contract is checkable.
+// serial, in-order contract is checkable (under -race, overlapping calls
+// would be reported as data races on its fields).
 type recordingReplicateSink struct {
 	have  map[int]*report.Table
 	haves []int
@@ -45,9 +46,11 @@ func TestReplicateStreamSinkSeesOrderedProtocol(t *testing.T) {
 	e := syntheticExperiment(func(seed uint64) float64 { return float64(seed) })
 	sink := newRecordingSink()
 	const n = 6
-	// Workers > 1 so completions genuinely race; the reorder buffer must
+	// A budget of 4 so completions genuinely race; the reorder buffer must
 	// still deliver Emit in replicate order.
-	tab, err := Replicate(e, Params{Seed: 3}, n, ReplicateConfig{Workers: 4, Sink: sink})
+	var tab *report.Table
+	var err error
+	atBudget(4, func() { tab, err = Replicate(e, Params{Seed: 3}, n, ReplicateConfig{Sink: sink}) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,8 +79,8 @@ func TestReplicateStreamSinkSeesOrderedProtocol(t *testing.T) {
 func TestReplicateStreamWithSinkMatchesMonolithicByteForByte(t *testing.T) {
 	// The differential oracle of the streaming refactor: the sink is an
 	// observer, never an influence — output with a sink attached is
-	// byte-identical to the pre-streaming path (nil sink) at every worker
-	// count.
+	// byte-identical to the pre-streaming path (nil sink) at every budget
+	// size.
 	e, err := ByID("fig2b")
 	if err != nil {
 		t.Fatal(err)
@@ -85,18 +88,20 @@ func TestReplicateStreamWithSinkMatchesMonolithicByteForByte(t *testing.T) {
 	p := testParams()
 	p.Packets = 120
 	p.Interarrivals = []float64{2, 10}
-	baseline, err := Replicate(e, p, 4, ReplicateConfig{Workers: 1})
+	var baseline *report.Table
+	atBudget(1, func() { baseline, err = Replicate(e, p, 4, ReplicateConfig{}) })
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := render(t, baseline)
-	for _, workers := range []int{1, 3} {
-		got, err := Replicate(e, p, 4, ReplicateConfig{Workers: workers, Sink: newRecordingSink()})
+	for _, size := range []int{1, 2, 4, 16} {
+		var got *report.Table
+		atBudget(size, func() { got, err = Replicate(e, p, 4, ReplicateConfig{Sink: newRecordingSink()}) })
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(render(t, got), want) {
-			t.Fatalf("sink attached (workers=%d) changed the output bytes", workers)
+			t.Fatalf("sink attached (budget %d) changed the output bytes", size)
 		}
 	}
 }
@@ -113,14 +118,15 @@ func TestReplicateStreamResumeIsByteIdentical(t *testing.T) {
 	p.Packets = 120
 	p.Interarrivals = []float64{2, 10}
 	const n = 4
-	baseline, err := Replicate(e, p, n, ReplicateConfig{Workers: 2})
+	var baseline *report.Table
+	atBudget(1, func() { baseline, err = Replicate(e, p, n, ReplicateConfig{}) })
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Persist replicates 0 and 3 (as a crashed run would have), recompute
 	// them out-of-band via the same seed derivation.
-	sink := newRecordingSink()
+	held := make(map[int]*report.Table)
 	norm, err := p.normalized()
 	if err != nil {
 		t.Fatal(err)
@@ -132,24 +138,28 @@ func TestReplicateStreamResumeIsByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sink.have[rep] = tab
+		held[rep] = tab
 	}
 
-	resumed, err := Replicate(e, p, n, ReplicateConfig{Workers: 2, Sink: sink})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(render(t, resumed), render(t, baseline)) {
-		t.Fatal("resumed run is not byte-identical to the uninterrupted run")
-	}
-	for _, rep := range []int{0, 3} {
-		if sink.fresh[rep] {
-			t.Fatalf("resumed replicate %d recomputed", rep)
+	for _, size := range []int{1, 2, 4, 16} {
+		sink := &recordingReplicateSink{have: held, fresh: make(map[int]bool), tabs: make(map[int]*report.Table)}
+		var resumed *report.Table
+		atBudget(size, func() { resumed, err = Replicate(e, p, n, ReplicateConfig{Sink: sink}) })
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	for _, rep := range []int{1, 2} {
-		if !sink.fresh[rep] {
-			t.Fatalf("missing replicate %d not recomputed", rep)
+		if !bytes.Equal(render(t, resumed), render(t, baseline)) {
+			t.Fatalf("budget %d: resumed run is not byte-identical to the uninterrupted run", size)
+		}
+		for _, rep := range []int{0, 3} {
+			if sink.fresh[rep] {
+				t.Fatalf("budget %d: resumed replicate %d recomputed", size, rep)
+			}
+		}
+		for _, rep := range []int{1, 2} {
+			if !sink.fresh[rep] {
+				t.Fatalf("budget %d: missing replicate %d not recomputed", size, rep)
+			}
 		}
 	}
 }
@@ -172,7 +182,7 @@ func TestReplicateStreamAllResumedRunsNothing(t *testing.T) {
 		tab.AddRow("only", float64(1+rep))
 		sink.have[rep] = tab
 	}
-	tab, err := Replicate(e, Params{Seed: 1}, n, ReplicateConfig{Workers: 2, Sink: sink})
+	tab, err := Replicate(e, Params{Seed: 1}, n, ReplicateConfig{Sink: sink})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +198,7 @@ func TestReplicateStreamSinkErrorAborts(t *testing.T) {
 	e := syntheticExperiment(func(seed uint64) float64 { return float64(seed) })
 	sink := newRecordingSink()
 	sink.fail = errors.New("disk gone")
-	_, err := Replicate(e, Params{Seed: 1}, 3, ReplicateConfig{Workers: 2, Sink: sink})
+	_, err := Replicate(e, Params{Seed: 1}, 3, ReplicateConfig{Sink: sink})
 	if err == nil || !strings.Contains(err.Error(), "sink") {
 		t.Fatalf("err = %v, want sink failure", err)
 	}
@@ -213,7 +223,7 @@ func TestReplicateStreamErrorMessagesMatchLegacy(t *testing.T) {
 			return tab, nil
 		},
 	}
-	_, err := Replicate(fail, Params{Seed: 1}, 3, ReplicateConfig{Workers: 2})
+	_, err := Replicate(fail, Params{Seed: 1}, 3, ReplicateConfig{})
 	if err == nil || !strings.Contains(err.Error(), "experiment: replication 1: kaput") {
 		t.Fatalf("err = %v, want legacy replication-error format", err)
 	}

@@ -6,11 +6,21 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"tempriv/internal/budget"
 	"tempriv/internal/network"
 	"tempriv/internal/report"
 )
+
+// atBudget runs f under a CPU budget of n tokens.
+func atBudget(n int, f func()) {
+	defer budget.SetForTesting(n)()
+	f()
+}
 
 // syntheticExperiment returns an experiment whose single cell is a
 // deterministic function of the seed, so replication statistics are exactly
@@ -32,7 +42,7 @@ func TestReplicateExactStatistics(t *testing.T) {
 	// Seeds 10..14 → values 10..14: mean 12, sample std sqrt(2.5).
 	e := syntheticExperiment(func(seed uint64) float64 { return float64(seed) })
 	p := Params{Seed: 10}
-	tab, err := Replicate(e, p, 5, ReplicateConfig{Workers: 1})
+	tab, err := Replicate(e, p, 5, ReplicateConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +64,7 @@ func TestReplicateExactStatistics(t *testing.T) {
 
 func TestReplicateConstantExperimentHasZeroCI(t *testing.T) {
 	e := syntheticExperiment(func(uint64) float64 { return 7 })
-	tab, err := Replicate(e, Params{Seed: 1}, 3, ReplicateConfig{Workers: 1})
+	tab, err := Replicate(e, Params{Seed: 1}, 3, ReplicateConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,10 +75,10 @@ func TestReplicateConstantExperimentHasZeroCI(t *testing.T) {
 
 func TestReplicateValidation(t *testing.T) {
 	e := syntheticExperiment(func(uint64) float64 { return 0 })
-	if _, err := Replicate(e, Params{}, 1, ReplicateConfig{Workers: 1}); err == nil {
+	if _, err := Replicate(e, Params{}, 1, ReplicateConfig{}); err == nil {
 		t.Fatal("n=1 accepted")
 	}
-	if _, err := Replicate(Experiment{}, Params{}, 3, ReplicateConfig{Workers: 1}); err == nil {
+	if _, err := Replicate(Experiment{}, Params{}, 3, ReplicateConfig{}); err == nil {
 		t.Fatal("nil Run accepted")
 	}
 }
@@ -83,7 +93,7 @@ func TestReplicateRejectsShapeChange(t *testing.T) {
 			return tab, nil
 		},
 	}
-	if _, err := Replicate(e, Params{Seed: 1}, 2, ReplicateConfig{Workers: 1}); err == nil {
+	if _, err := Replicate(e, Params{Seed: 1}, 2, ReplicateConfig{}); err == nil {
 		t.Fatal("label change across replications accepted")
 	}
 }
@@ -101,7 +111,7 @@ func TestReplicateSkipsNaNCells(t *testing.T) {
 			return tab, nil
 		},
 	}
-	tab, err := Replicate(e, Params{Seed: 2}, 3, ReplicateConfig{Workers: 1}) // seeds 2,3,4 → values 4, NaN, 4
+	tab, err := Replicate(e, Params{Seed: 2}, 3, ReplicateConfig{}) // seeds 2,3,4 → values 4, NaN, 4
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,27 +138,31 @@ func TestReplicateParallelMatchesSerialByteForByte(t *testing.T) {
 	p := testParams()
 	p.Packets = 120
 	p.Interarrivals = []float64{2, 10}
-	serial, err := Replicate(e, p, 4, ReplicateConfig{Workers: 1})
+	var serial *report.Table
+	atBudget(1, func() { serial, err = Replicate(e, p, 4, ReplicateConfig{}) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{2, 4, 16} {
-		parallel, err := Replicate(e, p, 4, ReplicateConfig{Workers: workers})
+	for _, size := range []int{2, 4, 16} {
+		var parallel *report.Table
+		atBudget(size, func() { parallel, err = Replicate(e, p, 4, ReplicateConfig{}) })
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got, want := render(t, parallel), render(t, serial); !bytes.Equal(got, want) {
-			t.Fatalf("workers=%d output differs from serial:\n--- parallel ---\n%s\n--- serial ---\n%s",
-				workers, got, want)
+			t.Fatalf("budget %d output differs from serial:\n--- parallel ---\n%s\n--- serial ---\n%s",
+				size, got, want)
 		}
 	}
 }
 
 func TestReplicateParallelSeedDerivationIsByIndex(t *testing.T) {
-	// With many workers the completion order is nondeterministic, but each
+	// With many tokens the completion order is nondeterministic, but each
 	// replication's value must still be folded in by its index-derived seed.
 	e := syntheticExperiment(func(seed uint64) float64 { return float64(seed) })
-	tab, err := Replicate(e, Params{Seed: 100}, 8, ReplicateConfig{Workers: 8})
+	var tab *report.Table
+	var err error
+	atBudget(8, func() { tab, err = Replicate(e, Params{Seed: 100}, 8, ReplicateConfig{}) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +188,8 @@ func TestReplicateParallelPropagatesRunError(t *testing.T) {
 			return tab, nil
 		},
 	}
-	_, err := Replicate(e, Params{Seed: 1}, 4, ReplicateConfig{Workers: 4})
+	var err error
+	atBudget(4, func() { _, err = Replicate(e, Params{Seed: 1}, 4, ReplicateConfig{}) })
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want wrapped boom", err)
 	}
@@ -188,7 +203,7 @@ func TestReplicateRealExperiment(t *testing.T) {
 	p := testParams()
 	p.Packets = 150
 	p.Interarrivals = []float64{2}
-	tab, err := Replicate(e, p, 3, ReplicateConfig{Workers: 1})
+	tab, err := Replicate(e, p, 3, ReplicateConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,8 +224,8 @@ func TestReplicateRealExperiment(t *testing.T) {
 
 // TestReplicateEngineReuseMatchesFresh is the engine-reuse differential at
 // the experiment layer: the same replicated sweep run three ways — fresh
-// engines per replicate, per-worker reused engines, and a caller-shared
-// engine cache — must render byte-identical tables. Engine reuse is a pure
+// engines per replicate, reused engines under budgets of 1 to 16 tokens,
+// and a caller-shared engine cache — must render byte-identical tables. Engine reuse is a pure
 // execution optimisation; any byte of divergence is state leaking across a
 // rearm.
 func TestReplicateEngineReuseMatchesFresh(t *testing.T) {
@@ -223,30 +238,102 @@ func TestReplicateEngineReuseMatchesFresh(t *testing.T) {
 	p.Interarrivals = []float64{2, 10}
 	const n = 4
 
-	fresh, err := Replicate(e, p, n, ReplicateConfig{Workers: 1, FreshEngines: true})
+	var fresh *report.Table
+	atBudget(1, func() { fresh, err = Replicate(e, p, n, ReplicateConfig{FreshEngines: true}) })
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := render(t, fresh)
 
-	for _, workers := range []int{1, 2, 4} {
-		reused, err := Replicate(e, p, n, ReplicateConfig{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := render(t, reused); !bytes.Equal(got, want) {
-			t.Fatalf("workers=%d with engine reuse differs from fresh engines:\n--- reused ---\n%s\n--- fresh ---\n%s",
-				workers, got, want)
+	for _, size := range []int{1, 2, 4, 16} {
+		for _, rc := range []ReplicateConfig{{}, {FreshEngines: true}} {
+			var got *report.Table
+			atBudget(size, func() { got, err = Replicate(e, p, n, rc) })
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := render(t, got); !bytes.Equal(got, want) {
+				t.Fatalf("budget %d, %+v differs from fresh engines at budget 1:\n--- got ---\n%s\n--- fresh ---\n%s",
+					size, rc, got, want)
+			}
 		}
 	}
 
 	shared := p
 	shared.Engines = network.NewEngineCache()
-	cached, err := Replicate(e, shared, n, ReplicateConfig{Workers: 2})
+	var cached *report.Table
+	atBudget(2, func() { cached, err = Replicate(e, shared, n, ReplicateConfig{}) })
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := render(t, cached); !bytes.Equal(got, want) {
 		t.Fatalf("caller-shared engine cache diverged from fresh engines:\n--- cached ---\n%s\n--- fresh ---\n%s", got, want)
+	}
+}
+
+// TestConcurrentReplicatesStayWithinBudget: K concurrent runs, each holding
+// a budget token the way scenario.Run does and nesting Replicate → a sweep
+// over points, never run more than B sweep-point bodies at once, and all
+// of them complete with the same table.
+func TestConcurrentReplicatesStayWithinBudget(t *testing.T) {
+	for _, b := range []int{1, 2} {
+		t.Run(fmt.Sprintf("B=%d", b), func(t *testing.T) {
+			defer budget.SetForTesting(b)()
+			var running, peak atomic.Int64
+			e := Experiment{
+				ID: "nested", Title: "t", Paper: "p",
+				Run: func(p Params) (*report.Table, error) {
+					vals := make([]float64, 4)
+					err := budget.For(len(vals), func(i int) error {
+						n := running.Add(1)
+						defer running.Add(-1)
+						for {
+							old := peak.Load()
+							if n <= old || peak.CompareAndSwap(old, n) {
+								break
+							}
+						}
+						time.Sleep(200 * time.Microsecond)
+						vals[i] = float64(p.Seed) + float64(i)
+						return nil
+					})
+					tab := &report.Table{RowHeader: "x", Columns: []string{"a", "b", "c", "d"}}
+					tab.AddRow("only", vals...)
+					return tab, err
+				},
+			}
+			const jobs = 4
+			tabs := make([][]byte, jobs)
+			var wg sync.WaitGroup
+			for k := 0; k < jobs; k++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					budget.Do(func() {
+						tab, err := Replicate(e, Params{Seed: 1}, 3, ReplicateConfig{})
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						tabs[k] = render(t, tab)
+					})
+				}()
+			}
+			done := make(chan struct{})
+			go func() { wg.Wait(); close(done) }()
+			select {
+			case <-done:
+			case <-time.After(30 * time.Second):
+				t.Fatal("concurrent replicated runs deadlocked")
+			}
+			for k := 1; k < jobs; k++ {
+				if !bytes.Equal(tabs[k], tabs[0]) {
+					t.Fatalf("run %d rendered different bytes", k)
+				}
+			}
+			if p := peak.Load(); p > int64(b) {
+				t.Fatalf("%d sweep points ran at once under a budget of %d", p, b)
+			}
+		})
 	}
 }

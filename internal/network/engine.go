@@ -14,6 +14,7 @@ import (
 	"sync"
 	"time"
 
+	"tempriv/internal/budget"
 	"tempriv/internal/packet"
 	"tempriv/internal/rng"
 	"tempriv/internal/seal"
@@ -272,36 +273,42 @@ func (r *runner) clonePacket(p *packet.Packet) *packet.Packet {
 
 // EngineCache pools engines by structural config identity so sweeps and
 // replicate batches reuse instances instead of rebuilding them per run. It
-// is safe for concurrent use: Get checks an engine out (removing it from
-// the cache), so two goroutines racing on the same key never share one —
-// the loser simply builds a fresh engine and both are checked back in.
+// is safe for concurrent use: RunCached checks an engine out (removing it
+// from the cache), so two goroutines racing on the same key never share one.
+// Each key keeps a free list of up to budget.Size() idle engines — as many
+// as can run at once — so concurrent same-key runs each find an engine
+// after warm-up instead of one run's check-in dropping the other's.
 type EngineCache struct {
 	mu      sync.Mutex
-	engines map[string]*Engine
+	engines map[string][]*Engine
 }
 
 // NewEngineCache returns an empty engine cache.
 func NewEngineCache() *EngineCache {
-	return &EngineCache{engines: make(map[string]*Engine)}
+	return &EngineCache{engines: make(map[string][]*Engine)}
 }
 
-// checkout removes and returns the cached engine for key, or nil.
+// checkout removes and returns an idle engine for key, or nil.
 func (c *EngineCache) checkout(key string) *Engine {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e := c.engines[key]
-	if e != nil {
-		delete(c.engines, key)
+	free := c.engines[key]
+	if len(free) == 0 {
+		return nil
 	}
+	e := free[len(free)-1]
+	c.engines[key] = free[:len(free)-1]
 	return e
 }
 
-// checkin returns an engine to the cache under key, replacing any engine
-// another goroutine checked in meanwhile (the replaced one is dropped).
+// checkin returns an engine to key's free list, dropping it if the list
+// is full.
 func (c *EngineCache) checkin(key string, e *Engine) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.engines[key] = e
+	if free := c.engines[key]; len(free) < budget.Size() {
+		c.engines[key] = append(free, e)
+	}
 }
 
 // engineKey is the structural identity a cached engine is filed under: the

@@ -3,8 +3,10 @@ package network
 import (
 	"encoding/json"
 	"fmt"
+	"sync"
 	"testing"
 
+	"tempriv/internal/budget"
 	"tempriv/internal/buffer"
 	"tempriv/internal/delay"
 	"tempriv/internal/mix"
@@ -252,6 +254,66 @@ func TestRunCachedMatchesRun(t *testing.T) {
 	}
 	if n := len(cache.engines); n != 1 {
 		t.Fatalf("cache holds %d engines after a structurally constant sweep, want 1", n)
+	}
+}
+
+// TestEngineCacheKeepsConcurrentEngines: two same-key runs in flight at
+// once each check an engine out and back in. After the first round builds
+// two engines, later rounds find both idle in the cache and build none —
+// a cache holding one engine per key would drop one at every check-in and
+// rebuild it every round.
+func TestEngineCacheKeepsConcurrentEngines(t *testing.T) {
+	defer budget.SetForTesting(2)()
+	pool := NewEngineCache()
+	builds := 0
+	for round := 0; round < 4; round++ {
+		var held [2]*Engine
+		for i := range held {
+			if held[i] = pool.checkout("k"); held[i] == nil {
+				builds++
+				held[i] = &Engine{}
+			}
+		}
+		for _, e := range held {
+			pool.checkin("k", e)
+		}
+	}
+	if builds != 2 {
+		t.Fatalf("%d engines built over 4 rounds of two concurrent runs, want 2 (warm-up only)", builds)
+	}
+
+	// The same through RunCached from two goroutines: every result matches
+	// a plain run, and the cache never holds more than the budget.
+	cache := NewEngineCache()
+	spec := randomEngineSpecs(t, rng.New(7), 1, false)[0]
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for s := 0; s < 4; s++ {
+				seed := uint64(10*g + s)
+				want, err := Run(spec.build(seed))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got, err := RunCached(cache, spec.build(seed))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if resultSignature(t, got) != resultSignature(t, want) {
+					t.Errorf("seed %d: RunCached diverged from Run", seed)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for _, free := range cache.engines {
+		if n := len(free); n < 1 || n > 2 {
+			t.Fatalf("cache holds %d idle engines for a key, want 1 or 2", n)
+		}
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 
 	"tempriv/internal/adversary"
+	"tempriv/internal/budget"
 	"tempriv/internal/buffer"
 	"tempriv/internal/delay"
 	"tempriv/internal/experiment"
@@ -30,19 +31,13 @@ import (
 type ReplicateSink = experiment.ReplicateSink
 
 // Options tune how a scenario executes without affecting its result bytes.
+// Parallelism is not among them: every run draws on the process-wide CPU
+// budget (internal/budget), sized by GOMAXPROCS.
 type Options struct {
 	// Progress, when set, receives coarse stage updates ("running",
-	// "replicate 3/8", "rendering"). It may be called from worker
-	// goroutines and must be safe for concurrent use.
+	// "replicate 3/8", "rendering"). It may be called from several
+	// goroutines at once and must be safe for concurrent use.
 	Progress func(stage, message string)
-	// ReplicateWorkers bounds replication parallelism (default 1,
-	// sequential). The reduction is order-fixed, so the output is
-	// byte-identical for every worker count.
-	ReplicateWorkers int
-	// SweepWorkers bounds each run's internal sweep parallelism
-	// (0 = GOMAXPROCS). Execution-only: it never affects result bytes and
-	// never enters the fingerprint.
-	SweepWorkers int
 	// Sink, when set, streams every replicate's table out of the engine as
 	// it completes and answers resume queries (skip replicates the sink
 	// already holds). Execution-only: equal specs produce byte-identical
@@ -139,13 +134,10 @@ func Run(ctx context.Context, spec Spec, opts Options) (*Outcome, error) {
 	}
 
 	p := paramsFor(spec)
-	if opts.SweepWorkers > 0 {
-		p.Workers = opts.SweepWorkers
-	}
 	if !opts.DisableEngineReuse {
 		// One cache for the whole scenario: sweep points inside a single
 		// replicate share engines too (the cache's checkout discipline makes
-		// it safe under the sweep's parallelFor workers).
+		// it safe under concurrent sweep points).
 		p.Engines = network.NewEngineCache()
 	}
 	opts.progress("running", fmt.Sprintf("%s (%d replicate(s), seed %d)", spec.Label(), replicates, seed))
@@ -160,8 +152,8 @@ func Run(ctx context.Context, spec Spec, opts Options) (*Outcome, error) {
 
 	// Wrap the experiment so each replicate checks for cancellation before
 	// starting, runs under its own trace span, and reports progress as it
-	// completes. Replicates may run on parallel workers; the trace record
-	// is lock-guarded.
+	// completes. Replicates may run concurrently; the trace record is
+	// lock-guarded.
 	var done atomic.Int64
 	inner := e.Run
 	e.Run = func(q experiment.Params) (*report.Table, error) {
@@ -178,24 +170,28 @@ func Run(ctx context.Context, spec Spec, opts Options) (*Outcome, error) {
 		return tab, err
 	}
 
+	// The run holds one token of the CPU budget throughout; its replicates
+	// and sweep points fan out over whatever other tokens are idle.
 	var tab *report.Table
-	if replicates > 1 {
-		tab, err = experiment.Replicate(e, p, replicates, experiment.ReplicateConfig{
-			Workers:      opts.ReplicateWorkers,
-			Sink:         opts.Sink,
-			FreshEngines: opts.DisableEngineReuse,
-		})
-	} else if opts.Sink != nil {
-		// Single-replicate scenarios stream through the same seam: a
-		// persisted chunk answers the whole run, a fresh run persists one.
-		if tab = opts.Sink.Have(0); tab != nil {
-			err = opts.Sink.Emit(0, false, tab)
-		} else if tab, err = e.Run(p); err == nil {
-			err = opts.Sink.Emit(0, true, tab)
+	budget.Do(func() {
+		switch {
+		case replicates > 1:
+			tab, err = experiment.Replicate(e, p, replicates, experiment.ReplicateConfig{
+				Sink:         opts.Sink,
+				FreshEngines: opts.DisableEngineReuse,
+			})
+		case opts.Sink != nil:
+			// Single-replicate scenarios stream through the same seam: a
+			// persisted chunk answers the whole run, a fresh run persists one.
+			if tab = opts.Sink.Have(0); tab != nil {
+				err = opts.Sink.Emit(0, false, tab)
+			} else if tab, err = e.Run(p); err == nil {
+				err = opts.Sink.Emit(0, true, tab)
+			}
+		default:
+			tab, err = e.Run(p)
 		}
-	} else {
-		tab, err = e.Run(p)
-	}
+	})
 	if err != nil {
 		return nil, err
 	}

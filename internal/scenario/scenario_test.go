@@ -7,6 +7,8 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"tempriv/internal/budget"
 )
 
 func validExperimentJSON() []byte {
@@ -229,7 +231,9 @@ func TestRunSimulationReplicates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	restore := budget.SetForTesting(1)
 	seq, err := Run(context.Background(), spec, Options{})
+	restore()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,12 +241,16 @@ func TestRunSimulationReplicates(t *testing.T) {
 		t.Fatalf("replicated table not aggregated: %q", seq.Table.Title)
 	}
 	// Parallel replication is byte-identical to sequential.
-	par, err := Run(context.Background(), spec, Options{ReplicateWorkers: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(seq.TableText, par.TableText) {
-		t.Fatal("parallel replication changed result bytes")
+	for _, size := range []int{2, 4, 16} {
+		restore := budget.SetForTesting(size)
+		par, err := Run(context.Background(), spec, Options{})
+		restore()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(seq.TableText, par.TableText) {
+			t.Fatalf("budget %d changed result bytes", size)
+		}
 	}
 }
 
@@ -298,8 +306,8 @@ func TestCanonicalJSONRoundTrips(t *testing.T) {
 }
 
 // TestRunEngineReuseDifferential runs representative scenarios with engine
-// reuse enabled (the default) and disabled, serial and parallel, and
-// requires byte-identical renderings. This is the scenario-layer guarantee
+// reuse enabled (the default) and disabled, under CPU budgets of 1 to 16
+// tokens, and requires byte-identical renderings. This is the scenario-layer guarantee
 // behind sweep's -fresh-engines escape hatch: reuse may never change output.
 func TestRunEngineReuseDifferential(t *testing.T) {
 	specs := map[string][]byte{
@@ -314,21 +322,23 @@ func TestRunEngineReuseDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			restore := budget.SetForTesting(1)
 			baseline, err := Run(context.Background(), spec, Options{DisableEngineReuse: true})
+			restore()
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, opts := range []Options{
-				{},
-				{ReplicateWorkers: 3},
-				{ReplicateWorkers: 3, DisableEngineReuse: true},
-			} {
-				out, err := Run(context.Background(), spec, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(out.TableText, baseline.TableText) || !bytes.Equal(out.TableCSV, baseline.TableCSV) {
-					t.Fatalf("opts %+v changed result bytes vs fresh-engine serial baseline", opts)
+			for _, size := range []int{1, 2, 4, 16} {
+				for _, opts := range []Options{{}, {DisableEngineReuse: true}} {
+					restore := budget.SetForTesting(size)
+					out, err := Run(context.Background(), spec, opts)
+					restore()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(out.TableText, baseline.TableText) || !bytes.Equal(out.TableCSV, baseline.TableCSV) {
+						t.Fatalf("budget %d, opts %+v changed result bytes vs fresh-engine serial baseline", size, opts)
+					}
 				}
 			}
 		})

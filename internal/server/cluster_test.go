@@ -73,7 +73,7 @@ func TestListStateFilter(t *testing.T) {
 // owner in X-Tempriv-Owner, and stays silent for jobs it owns.
 func TestOwnershipCheck(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	q := jobs.New(NewRunnerConfig(RunnerConfig{Registry: reg, ReplicateWorkers: 1}), jobs.Options{Workers: 1})
+	q := jobs.New(NewRunnerConfig(RunnerConfig{Registry: reg}), jobs.Options{Workers: 1})
 	defer drainQueue(t, q)
 
 	owner := "w-self"

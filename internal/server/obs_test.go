@@ -42,7 +42,7 @@ func newTracedServer(t *testing.T) (*httptest.Server, *obs.Tracer, *telemetry.Re
 		t.Fatal(err)
 	}
 	runner := NewRunnerConfig(RunnerConfig{
-		Cache: cache, Registry: reg, ReplicateWorkers: 1, Chunks: chunks,
+		Cache: cache, Registry: reg, Chunks: chunks,
 		CachedResultSLO: cachedSLO,
 	})
 	q := jobs.New(runner, jobs.Options{Workers: 2, RetryBase: time.Millisecond, RetryMax: 2 * time.Millisecond})

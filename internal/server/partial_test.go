@@ -210,7 +210,7 @@ func TestRunnerResumesFromChunksAndCleansUp(t *testing.T) {
 	}
 
 	reg := telemetry.NewRegistry()
-	q := jobs.New(NewRunnerConfig(RunnerConfig{Cache: cache, Registry: reg, ReplicateWorkers: 1, Chunks: store}), jobs.Options{Workers: 1})
+	q := jobs.New(NewRunnerConfig(RunnerConfig{Cache: cache, Registry: reg, Chunks: store}), jobs.Options{Workers: 1})
 	ts := httptest.NewServer(NewConfig(Config{Queue: q, Cache: cache, Chunks: store, Registry: reg}))
 	defer func() {
 		ts.Close()

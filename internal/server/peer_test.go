@@ -42,7 +42,7 @@ func newPeerWorker(t *testing.T, dir string, fs faultfs.FS) *peerWorker {
 		t.Fatal(err)
 	}
 	reg := telemetry.NewRegistry()
-	q := jobs.New(NewRunnerConfig(RunnerConfig{Cache: cache, Registry: reg, ReplicateWorkers: 1}), jobs.Options{Workers: 1})
+	q := jobs.New(NewRunnerConfig(RunnerConfig{Cache: cache, Registry: reg}), jobs.Options{Workers: 1})
 	w := &peerWorker{
 		ts:    httptest.NewServer(NewConfig(Config{Queue: q, Cache: cache, Registry: reg, ClusterID: "w"})),
 		q:     q,
@@ -283,7 +283,7 @@ func TestPeerGetUnknownFingerprintIs404(t *testing.T) {
 // worker, and a cluster worker without a cache, do not expose it.
 func TestPeerEndpointsAbsentWithoutStore(t *testing.T) {
 	standalone, _, _ := newTestServer(t, true)
-	q := jobs.New(NewRunnerConfig(RunnerConfig{ReplicateWorkers: 1}), jobs.Options{Workers: 1})
+	q := jobs.New(NewRunnerConfig(RunnerConfig{}), jobs.Options{Workers: 1})
 	t.Cleanup(func() { drainQueue(t, q) })
 	cacheless := httptest.NewServer(NewConfig(Config{Queue: q, ClusterID: "w"}))
 	t.Cleanup(cacheless.Close)

@@ -246,7 +246,7 @@ func TestRestoredDoneJobServesResultFromCache(t *testing.T) {
 		State: jobs.StateDone, Attempts: 1,
 		Submitted: time.Now().Add(-time.Hour), Finished: time.Now().Add(-time.Hour),
 	}
-	q := jobs.New(NewRunnerConfig(RunnerConfig{Cache: cache, ReplicateWorkers: 1}), jobs.Options{
+	q := jobs.New(NewRunnerConfig(RunnerConfig{Cache: cache}), jobs.Options{
 		Workers: 1, RetryBase: time.Millisecond, RetryMax: 2 * time.Millisecond,
 		Restore: []jobs.RestoredJob{restored},
 	})
@@ -281,7 +281,7 @@ func TestRestoredDoneJobWithLostCacheEntryIsGone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := jobs.New(NewRunnerConfig(RunnerConfig{Cache: cache, ReplicateWorkers: 1}), jobs.Options{
+	q := jobs.New(NewRunnerConfig(RunnerConfig{Cache: cache}), jobs.Options{
 		Workers: 1, RetryBase: time.Millisecond, RetryMax: 2 * time.Millisecond,
 		Restore: []jobs.RestoredJob{{
 			ID: "job-000007", Spec: spec, Fingerprint: fp, State: jobs.StateDone, Attempts: 1,
@@ -316,7 +316,7 @@ func TestChaosSickDiskKeepsServing(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := telemetry.NewRegistry()
-	q := jobs.New(NewRunnerConfig(RunnerConfig{Cache: cache, Registry: reg, ReplicateWorkers: 1}), jobs.Options{
+	q := jobs.New(NewRunnerConfig(RunnerConfig{Cache: cache, Registry: reg}), jobs.Options{
 		Workers: 2, QueueDepth: 16,
 		RetryBase: time.Millisecond, RetryMax: 2 * time.Millisecond,
 	})

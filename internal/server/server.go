@@ -279,10 +279,9 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // CachedResultSLO are all optional; their zero values disable the
 // corresponding feature.
 type RunnerConfig struct {
-	Cache            *resultcache.Cache
-	Registry         *telemetry.Registry
-	ReplicateWorkers int
-	Chunks           *resultstream.Store
+	Cache    *resultcache.Cache
+	Registry *telemetry.Registry
+	Chunks   *resultstream.Store
 	// CachedResultSLO observes the latency of every cache-hit answer (the
 	// "cached results are fast" objective). Fresh runs don't feed it — their
 	// latency is governed by replicate count, not by serving health.
@@ -308,7 +307,6 @@ type RunnerConfig struct {
 // store degrades to a plain non-resumable run.
 func NewRunnerConfig(cfg RunnerConfig) jobs.Runner {
 	cache, reg, chunks := cfg.Cache, cfg.Registry, cfg.Chunks
-	replicateWorkers := cfg.ReplicateWorkers
 	counter := func(name string) *telemetry.Counter {
 		if reg == nil {
 			return nil
@@ -366,10 +364,7 @@ func NewRunnerConfig(cfg RunnerConfig) jobs.Runner {
 			inc(misses)
 		}
 		inc(runs)
-		opts := scenario.Options{
-			Progress:         progress,
-			ReplicateWorkers: replicateWorkers,
-		}
+		opts := scenario.Options{Progress: progress}
 		var sink *resultstream.Sink
 		if chunks != nil {
 			k, err := chunks.Sink(fp, job.Spec.Replicates(), resultstream.SinkHooks{

@@ -29,7 +29,7 @@ func newTestServer(t *testing.T, withCache bool) (*httptest.Server, *jobs.Queue,
 		}
 	}
 	reg := telemetry.NewRegistry()
-	q := jobs.New(NewRunnerConfig(RunnerConfig{Cache: cache, Registry: reg, ReplicateWorkers: 1}), jobs.Options{Workers: 2, RetryBase: time.Millisecond, RetryMax: 2 * time.Millisecond})
+	q := jobs.New(NewRunnerConfig(RunnerConfig{Cache: cache, Registry: reg}), jobs.Options{Workers: 2, RetryBase: time.Millisecond, RetryMax: 2 * time.Millisecond})
 	ts := httptest.NewServer(NewConfig(Config{Queue: q, Cache: cache, Registry: reg}))
 	t.Cleanup(func() {
 		ts.Close()
@@ -347,7 +347,7 @@ func TestListAndAuxEndpoints(t *testing.T) {
 
 func TestRunnerWithoutCacheRunsFresh(t *testing.T) {
 	// The runner works with no cache at all: every submission simulates.
-	runner := NewRunnerConfig(RunnerConfig{ReplicateWorkers: 1})
+	runner := NewRunnerConfig(RunnerConfig{})
 	q := jobs.New(runner, jobs.Options{Workers: 1, RetryBase: time.Millisecond, RetryMax: 2 * time.Millisecond})
 	defer q.Drain(context.Background())
 	spec, err := scenario.Parse([]byte(smallScenario))

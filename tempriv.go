@@ -38,6 +38,7 @@ import (
 	"io"
 
 	"tempriv/internal/adversary"
+	"tempriv/internal/budget"
 	"tempriv/internal/buffer"
 	"tempriv/internal/core"
 	"tempriv/internal/delay"
@@ -628,15 +629,11 @@ func DefaultParams() Params { return experiment.Defaults() }
 
 // ReplicateExperiment runs an experiment under n consecutive seeds and
 // returns the across-seed means with 95% confidence half-widths — the
-// replication the paper's single-run evaluation lacks.
-func ReplicateExperiment(e Experiment, p Params, n int) (*Table, error) {
-	return experiment.Replicate(e, p, n, experiment.ReplicateConfig{Workers: 1})
-}
-
-// ReplicateExperimentParallel is ReplicateExperiment with replications
-// spread over up to workers goroutines. Seeds derive from the replication
-// index, and reduction order is fixed, so the table is byte-identical to
-// the serial form for every worker count.
-func ReplicateExperimentParallel(e Experiment, p Params, n, workers int) (*Table, error) {
-	return experiment.Replicate(e, p, n, experiment.ReplicateConfig{Workers: workers})
+// replication the paper's single-run evaluation lacks. The replications
+// run in parallel on the process's CPU budget (GOMAXPROCS); seeds derive
+// from the replication index and the reduction order is fixed, so the
+// table is byte-identical for every GOMAXPROCS.
+func ReplicateExperiment(e Experiment, p Params, n int) (tab *Table, err error) {
+	budget.Do(func() { tab, err = experiment.Replicate(e, p, n, experiment.ReplicateConfig{}) })
+	return tab, err
 }
